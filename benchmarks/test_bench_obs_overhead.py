@@ -17,13 +17,6 @@ make:
 An enabled-vs-disabled wall-clock comparison is reported alongside for
 context (enabled mode is allowed to cost more; it is not gated). Results
 are archived as ``benchmarks/results/obs_overhead.json``.
-
-A second contract covers the live telemetry bus (:mod:`repro.obs.live`):
-installing a bus with **no subscribers** — the ``--serve`` steady state
-when nobody is watching — must add < 5% on top of an already-observed
-run. The bound is built the same way: per-event sink cost (one
-``publish_event`` into the ring, no fan-out) times the events the
-workload actually emits, against the enabled wall time.
 """
 
 from __future__ import annotations
@@ -143,63 +136,4 @@ def test_bench_obs_disabled_overhead(results_dir, benchmark):
         f"disabled observability costs {100 * bound:.2f}% of the workload "
         f"({events} events x {per_hook * 1e9:.0f} ns); budget is "
         f"{100 * BUDGET:.0f}%"
-    )
-
-
-def bus_publish_cost(calls: int = 200_000) -> float:
-    """Mean seconds per bus event publish with zero subscribers."""
-    from repro.obs.live import TelemetryBus
-
-    bus = TelemetryBus()
-    t0 = time.perf_counter()
-    for k in range(calls):
-        bus.publish_event("sim.chunk", float(k))
-    return (time.perf_counter() - t0) / calls
-
-
-def count_bus_events() -> tuple[int, float]:
-    """(events mirrored to an installed bus, enabled wall seconds)."""
-    from repro.obs.live import install_bus, uninstall_bus
-
-    with obs.observed() as session:
-        bus = install_bus(session)
-        try:
-            t0 = time.perf_counter()
-            workload()
-            wall = time.perf_counter() - t0
-        finally:
-            uninstall_bus(session)
-    return bus.last_seq, wall
-
-
-def test_bench_live_bus_no_subscriber_overhead(results_dir, benchmark):
-    if obs.obs_enabled():  # pragma: no cover - REPRO_OBS leaking into bench
-        obs.stop(export=False)
-
-    events, enabled_wall = count_bus_events()
-    per_publish = bus_publish_cost()
-    bound = events * per_publish / enabled_wall
-
-    path = results_dir / "obs_overhead.json"
-    result = json.loads(path.read_text()) if path.exists() else {}
-    result.update(
-        {
-            "live_bus_events_per_run": events,
-            "live_bus_cost_per_event_s": per_publish,
-            "live_bus_overhead_bound": bound,
-            "live_bus_budget": BUDGET,
-        }
-    )
-    path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    print()
-    print(
-        f"live bus overhead: {events} events x {per_publish * 1e9:.0f} ns "
-        f"= {100 * bound:.3f}% of {enabled_wall * 1e3:.1f} ms enabled wall "
-        f"(budget {100 * BUDGET:.0f}%)"
-    )
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    assert bound < BUDGET, (
-        f"an installed (unsubscribed) telemetry bus costs "
-        f"{100 * bound:.2f}% of the observed workload ({events} events x "
-        f"{per_publish * 1e9:.0f} ns); budget is {100 * BUDGET:.0f}%"
     )

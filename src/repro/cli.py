@@ -24,11 +24,10 @@ Run store and analysis (``REPRO_RUN_DIR`` is the flagless equivalent)::
     python -m repro report runs/<id> --chrome-trace t.json
     python -m repro compare runs/<idA> runs/<idB>
 
-Profiling and benchmarks (see ``docs/profiling.md``)::
+Profiling (``REPRO_PROF`` is the flagless equivalent; see
+``docs/profiling.md``)::
 
     python -m repro --profile --run-dir runs/ scenario 4  # profile.json
-    python -m repro bench run                  # measure + append history
-    python -m repro bench compare              # nonzero exit on regression
 
 All deliverable output goes to stdout through :func:`repro.obs.console`;
 diagnostics go to the ``repro`` logger on stderr.
@@ -44,8 +43,8 @@ from collections.abc import Sequence
 from pathlib import Path
 
 from .dls import ALL_TECHNIQUES
-from .errors import ObservabilityError
-from .exec import ExecutionBackend, get_backend
+from .errors import ExecutionError, ObservabilityError
+from .exec import ExecutionBackend, default_workers, get_backend, parse_workers
 from .framework import Scenario, format_observability, run_scenario
 from .obs import (
     ENV_PROF,
@@ -62,7 +61,6 @@ from .obs import (
     metrics_snapshot,
     obs_enabled,
     observed,
-    perf_now,
     profile_from_spans,
     profiling_env_interval,
     recording,
@@ -73,7 +71,6 @@ from .obs import (
     write_chrome_trace,
 )
 from .obs.prof import DEFAULT_SAMPLING_INTERVAL
-from .obs.serve import ENV_SERVE, port_from_env
 from .paper import (
     data,
     figure_series,
@@ -134,14 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
         f"else repro-profile.json; ${ENV_PROF}=1 or an interval in "
         "seconds is the flagless equivalent)",
     )
-    parser.add_argument(
-        "--serve", metavar="PORT", type=int, default=None,
-        help="stream live telemetry over HTTP while the command runs: "
-        "/healthz, /metrics (JSON or Prometheus text), /events (SSE), "
-        "/runs; 0 binds an ephemeral port "
-        f"(${ENV_SERVE} is the flagless equivalent); "
-        "follow along with 'repro watch http://127.0.0.1:PORT'",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("tables", help="print Tables I, IV, V and phi_1")
@@ -187,46 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (json is line-for-line scriptable)",
     )
 
-    bench = sub.add_parser(
-        "bench", help="run/list/compare the registered benchmarks"
-    )
-    bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-    bench_run = bench_sub.add_parser(
-        "run", help="measure benchmarks and append to the history"
-    )
-    bench_run.add_argument(
-        "names", nargs="*", metavar="NAME",
-        help="benchmarks to run (default: all registered)",
-    )
-    bench_run.add_argument(
-        "--rounds", type=int, default=None, metavar="N",
-        help="timing rounds per benchmark (default: each spec's own)",
-    )
-    bench_run.add_argument(
-        "--history", metavar="PATH", default=None,
-        help="history file to append to (default: "
-        "benchmarks/results/bench_history.jsonl)",
-    )
-    bench_list = bench_sub.add_parser(
-        "list", help="list the registered benchmarks"
-    )
-    bench_list.add_argument(
-        "--format", default="text", choices=["text", "json"],
-    )
-    bench_cmp = bench_sub.add_parser(
-        "compare",
-        help="judge the latest run of each benchmark against its "
-        "previous run; exits 1 on a regression beyond tolerance",
-    )
-    bench_cmp.add_argument(
-        "--history", metavar="PATH", default=None,
-        help="history file to judge (default: "
-        "benchmarks/results/bench_history.jsonl)",
-    )
-    bench_cmp.add_argument(
-        "--format", default="text", choices=["text", "json"],
-    )
-
     rep = sub.add_parser(
         "report", help="render a markdown report of one recorded run"
     )
@@ -253,24 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the markdown to PATH instead of stdout",
     )
 
-    watch = sub.add_parser(
-        "watch",
-        help="live terminal view of a --serve endpoint, or a one-shot "
-        "replay of a recorded run's trace",
-    )
-    watch.add_argument(
-        "target",
-        help="an http://host:port printed by a --serve run (live view), "
-        "or a run directory / run id under --run-dir (replay)",
-    )
-    watch.add_argument(
-        "--interval", type=float, default=1.0, metavar="SECONDS",
-        help="minimum seconds between live re-renders (default: %(default)s)",
-    )
-    watch.add_argument(
-        "--duration", type=float, default=None, metavar="SECONDS",
-        help="stop watching after this long (default: until the stream ends)",
-    )
     return parser
 
 
@@ -565,99 +496,6 @@ def _cmd_robustness(args, backend: ExecutionBackend) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from .bench import (
-        DEFAULT_HISTORY_PATH,
-        all_benchmarks,
-        append_records,
-        compare_history,
-        get_benchmark,
-        load_history,
-        record_measurement,
-        render_comparison,
-        run_benchmark,
-    )
-    from .errors import BenchError
-
-    if args.bench_command == "list":
-        _emit_rows(
-            [
-                ("name", "benchmark"),
-                ("rounds", "rounds"),
-                ("tolerance", "tolerance"),
-                ("description", "description"),
-            ],
-            [
-                (s.name, s.rounds, s.tolerance, s.description)
-                for s in all_benchmarks()
-            ],
-            fmt=args.format,
-            title="Registered benchmarks",
-        )
-        return 0
-
-    history = Path(args.history) if args.history else DEFAULT_HISTORY_PATH
-    if args.bench_command == "run":
-        try:
-            specs = (
-                [get_benchmark(name) for name in args.names]
-                if args.names
-                else all_benchmarks()
-            )
-        except BenchError as exc:
-            console(f"error: {exc}")
-            return 2
-        records = []
-        for spec in specs:
-            measurement = run_benchmark(spec, rounds=args.rounds)
-            record = record_measurement(measurement, workers=args.workers)
-            records.append(record)
-            console(
-                f"{spec.name}: best {record.best_s:.4f}s, "
-                f"mean {record.mean_s:.4f}s over {record.rounds} round(s)"
-            )
-        path = append_records(history, records)
-        console(f"appended {len(records)} record(s) to {path}")
-        return 0
-
-    # bench compare
-    records = load_history(history)
-    if not records:
-        console(
-            f"no benchmark history at {history}; run 'repro bench run' first"
-        )
-        return 2
-    comparison = compare_history(records)
-    if args.format == "json":
-        _emit_rows(
-            [
-                ("name", "benchmark"),
-                ("status", "status"),
-                ("baseline_s", "baseline s"),
-                ("current_s", "current s"),
-                ("ratio", "ratio"),
-                ("tolerance", "tol"),
-                ("env_changed", "env changed"),
-            ],
-            [
-                (
-                    d.name,
-                    d.status,
-                    d.baseline.best_s if d.baseline is not None else None,
-                    d.current.best_s,
-                    d.ratio,
-                    d.current.tolerance,
-                    list(d.env_changed),
-                )
-                for d in comparison.deltas
-            ],
-            fmt="json",
-        )
-    else:
-        _print(render_comparison(comparison))
-    return 1 if comparison.has_regressions else 0
-
-
 def _dispatch(args, backend: ExecutionBackend) -> int:
     if args.command == "tables":
         return _cmd_tables()
@@ -679,8 +517,6 @@ def _dispatch(args, backend: ExecutionBackend) -> int:
         return 0
     if args.command == "recommend":
         return _cmd_recommend(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "export":
         from .io import save_instance
         from .paper import data, paper_batch, paper_system
@@ -756,31 +592,6 @@ def _write_or_print(text: str, output: str | None, label: str) -> None:
         console(text)
 
 
-def _emit_rows(
-    columns: Sequence[tuple[str, str]],
-    rows: Sequence[Sequence[object]],
-    *,
-    fmt: str = "text",
-    title: str | None = None,
-) -> None:
-    """Shared listing formatter: an aligned table, or a JSON array.
-
-    ``columns`` pairs each JSON key with its table header; the JSON form
-    is an array of objects keyed by the first element, so listings from
-    ``repro runs`` and ``repro bench`` are uniformly scriptable.
-    """
-    if fmt == "json":
-        keys = [key for key, _ in columns]
-        payload = [dict(zip(keys, row)) for row in rows]
-        console(json.dumps(payload, indent=2, sort_keys=True))
-        return
-    _print(
-        render_table(
-            [header for _, header in columns], rows, title=title
-        )
-    )
-
-
 def _cmd_runs(args) -> int:
     base = _run_base(args)
     if base is None:
@@ -790,27 +601,28 @@ def _cmd_runs(args) -> int:
     if not records and args.format != "json":
         console(f"no recorded runs under {base}")
         return 0
-    _emit_rows(
-        [
-            ("run_id", "run"),
-            ("command", "command"),
-            ("started", "started"),
-            ("wall_seconds", "wall s"),
-            ("exit_code", "exit"),
-        ],
-        [
-            (
-                r.run_id,
-                r.manifest.get("command", "?"),
-                r.manifest.get("started", "?"),
-                r.manifest.get("wall_seconds", "-"),
-                r.manifest.get("exit_code", "-"),
+    rows = [
+        (
+            r.run_id,
+            r.manifest.get("command", "?"),
+            r.manifest.get("started", "?"),
+            r.manifest.get("wall_seconds", "-"),
+            r.manifest.get("exit_code", "-"),
+        )
+        for r in records
+    ]
+    if args.format == "json":
+        keys = ("run_id", "command", "started", "wall_seconds", "exit_code")
+        payload = [dict(zip(keys, row)) for row in rows]
+        console(json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        _print(
+            render_table(
+                ["run", "command", "started", "wall s", "exit"],
+                rows,
+                title=f"Recorded runs under {base}",
             )
-            for r in records
-        ],
-        fmt=args.format,
-        title=f"Recorded runs under {base}",
-    )
+        )
     return 0
 
 
@@ -835,53 +647,10 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _cmd_watch(args) -> int:
-    """Live view of a --serve endpoint, or a one-shot trace replay."""
-    from .obs.live import LiveView
-
-    target = str(args.target)
-    if target.startswith(("http://", "https://")):
-        return _watch_live(
-            target, interval=args.interval, duration=args.duration
-        )
-    run = resolve_run(target, base_dir=_run_base(args))
-    view = LiveView()
-    for record in run.trace_records():
-        view.apply_trace_record(record)
-    _print(view.render())
-    return 0
-
-
-def _watch_live(url: str, *, interval: float, duration: float | None) -> int:
-    """Follow an SSE stream, re-rendering the view at most per interval."""
-    from .obs.live import LiveView
-    from .obs.serve import stream_events
-
-    view = LiveView()
-    events_url = url.rstrip("/") + "/events?since=0"
-    started = perf_now()
-    last_render = started - interval
-    try:
-        for record in stream_events(events_url):
-            view.apply(record)
-            now = perf_now()
-            if now - last_render >= interval:
-                _print(view.render())
-                last_render = now
-            if duration is not None and now - started >= duration:
-                break
-    except OSError as exc:
-        console(f"error: cannot watch {url}: {exc}")
-        return 2
-    _print(view.render())
-    return 0
-
-
 _ANALYSIS_COMMANDS = {
     "runs": _cmd_runs,
     "report": _cmd_report,
     "compare": _cmd_compare,
-    "watch": _cmd_watch,
 }
 
 
@@ -940,57 +709,18 @@ def _dispatch_profiled(
     return code
 
 
-def _serve_port(args) -> int | None:
-    """The live-telemetry port: ``--serve`` or ``$REPRO_SERVE``, or None."""
-    if args.serve is not None:
-        return int(args.serve)
-    return port_from_env(os.environ.get(ENV_SERVE))
-
-
-def _dispatch_served(
-    args, backend: ExecutionBackend, session: Observation,
-    interval: float | None, serve_port: int | None,
+def _run(
+    args, workers: int, interval: float | None,
+    recorder: RunRecorder | None = None,
 ) -> int:
-    """Dispatch, streaming live telemetry over HTTP when requested.
-
-    The server (and the telemetry bus feeding it) lives strictly inside
-    the dispatch: it closes — flushing bus counters and publishing the
-    final metrics snapshot — *before* the recorder finalizes, so the
-    last snapshot on the wire matches the run directory's metrics.
-    """
-    if serve_port is None:
-        return _dispatch_profiled(args, backend, session, interval)
-    from .obs import live as obs_live
-    from .obs import serve as obs_serve
-
-    bus = obs_live.install_bus(session)
-    try:
-        server = obs_serve.ObsServer(
-            bus, port=serve_port, run_base=_run_base(args)
-        ).start()
-    except Exception:
-        obs_live.uninstall_bus(session)
-        raise
-    console(f"serving live telemetry at {server.url}")
-    try:
-        return _dispatch_profiled(args, backend, session, interval)
-    finally:
-        server.close(session)
-        obs_live.uninstall_bus(session)
-
-
-def _run(args, recorder: RunRecorder | None = None) -> int:
-    """Dispatch one command, optionally observed/recorded/served."""
-    interval = _profiling_interval(args)
-    serve_port = _serve_port(args)
+    """Dispatch one command, optionally observed/recorded."""
     observe = bool(
         args.trace
         or args.metrics
         or recorder is not None
         or interval is not None
-        or serve_port is not None
     )
-    with get_backend(args.workers) as backend:
+    with get_backend(workers) as backend:
         if not observe:
             return _dispatch(args, backend)
         session: Observation | None = None
@@ -1002,17 +732,15 @@ def _run(args, recorder: RunRecorder | None = None) -> int:
                 # two sessions.
                 session = current()
                 assert session is not None
-                code = _dispatch_served(
-                    args, backend, session, interval, serve_port
-                )
+                code = _dispatch_profiled(args, backend, session, interval)
                 _finish_observed(args)
                 if args.trace:
                     session.export(args.trace)
                     console(f"wrote trace to {args.trace}")
             else:
                 with observed(trace_path=args.trace) as session:
-                    code = _dispatch_served(
-                        args, backend, session, interval, serve_port
+                    code = _dispatch_profiled(
+                        args, backend, session, interval
                     )
                     _finish_observed(args)
                 if args.trace:
@@ -1037,11 +765,23 @@ def main(argv: Sequence[str] | None = None) -> int:
         except ObservabilityError as exc:
             console(f"error: {exc}")
             return 2
+    # Resolve the settings that can be malformed before the recorder
+    # creates the run directory, so a bad value leaves no orphan behind.
+    try:
+        workers = (
+            default_workers()
+            if args.workers is None
+            else parse_workers(args.workers, source="--workers")
+        )
+        interval = _profiling_interval(args)
+    except (ExecutionError, ObservabilityError) as exc:
+        console(f"error: {exc}")
+        return 2
     recorder = _make_recorder(args, argv)
     if recorder is None:
-        return _run(args)
+        return _run(args, workers, interval)
     with recording(recorder):
-        return _run(args, recorder)
+        return _run(args, workers, interval, recorder)
 
 
 def _cmd_recommend(args) -> int:

@@ -18,7 +18,6 @@ __all__ = [
     "ObservabilityError",
     "ExecutionError",
     "FaultError",
-    "BenchError",
 ]
 
 
@@ -61,6 +60,3 @@ class ExecutionError(ReproError):
 class FaultError(ReproError):
     """An invalid fault plan or fault event (:mod:`repro.faults`)."""
 
-
-class BenchError(ReproError):
-    """The benchmark harness (:mod:`repro.bench`) was misused."""

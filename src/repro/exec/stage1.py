@@ -14,9 +14,6 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from typing import TYPE_CHECKING
 
-from ..obs import event as obs_event
-from ..obs import obs_enabled
-from ..obs.live import heartbeat_due
 from .backends import ExecutionBackend, SerialBackend
 from .tasks import CandidateEvalTask, encode_assignments
 
@@ -51,17 +48,7 @@ def evaluate_allocations(
         or backend.workers <= 1
         or len(candidates) < 2 * backend.workers
     ):
-        scores: list[float] = []
-        for c in candidates:
-            scores.append(evaluator.joint_probability(dict(c)))
-            if obs_enabled() and heartbeat_due("ra.progress"):
-                obs_event(
-                    "ra.progress",
-                    float(len(scores)),
-                    done=len(scores),
-                    total=len(candidates),
-                )
-        return scores
+        return [evaluator.joint_probability(dict(c)) for c in candidates]
     n_chunks = min(len(candidates), backend.workers * _CHUNKS_PER_WORKER)
     bounds = [
         (len(candidates) * k) // n_chunks for k in range(n_chunks + 1)
@@ -82,11 +69,4 @@ def evaluate_allocations(
     scores: list[float] = []
     for chunk_scores in backend.run_tasks(tasks):
         scores.extend(chunk_scores)
-        if obs_enabled() and heartbeat_due("ra.progress"):
-            obs_event(
-                "ra.progress",
-                float(len(scores)),
-                done=len(scores),
-                total=len(candidates),
-            )
     return scores

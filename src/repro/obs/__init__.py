@@ -59,8 +59,6 @@ from .prof import (
     Profile,
     SamplingProfiler,
     SpanAggregate,
-    best_of,
-    perf_now,
     profile_from_spans,
     profiling_env_interval,
     span_self_times,
@@ -133,7 +131,6 @@ __all__ = [
     "TimelineStats",
     "Tracer",
     "WorkerTimeline",
-    "best_of",
     "chrome_trace_events",
     "configure_logging",
     "console",
@@ -152,7 +149,6 @@ __all__ = [
     "obs_enabled",
     "observe_value",
     "observed",
-    "perf_now",
     "profile_from_spans",
     "profiling_env_interval",
     "read_trace",

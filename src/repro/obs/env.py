@@ -1,9 +1,10 @@
 """Environment fingerprinting for run manifests and benchmark records.
 
-A performance number without its environment is noise: the benchmark
-store (:mod:`repro.bench`) and the run store (:mod:`repro.obs.runs`)
-both stamp every record with one shared :func:`env_fingerprint` so a
-regression can be told apart from a hardware change.
+A performance number without its environment is noise: the run store
+(:mod:`repro.obs.runs`) stamps every manifest with :func:`env_fingerprint`,
+and the benchmark (``cdsfbench/``) records the same fingerprint beside
+its measurements, so a regression can be told apart from a hardware
+change.
 
 The fingerprint distinguishes three CPU counts that ad-hoc callers kept
 conflating (``benchmarks/results/parallel_scale.json`` once recorded
@@ -101,7 +102,7 @@ def env_fingerprint(*, workers: int | str | None = None) -> dict[str, object]:
     """One JSON-ready snapshot of the execution environment.
 
     Included in every :class:`~repro.obs.runs.RunRecorder` manifest and
-    every benchmark-store record so results are comparable across time:
+    every benchmark record so results are comparable across time:
     interpreter, platform, the three CPU counts (see module docstring),
     the git sha of the working tree (None outside a checkout), and the
     ``workers`` knob when the caller passes it.

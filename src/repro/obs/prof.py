@@ -25,20 +25,14 @@ bundles any number of them into one speedscope-loadable JSON file
 classic semicolon-separated collapsed-stack lines for
 ``flamegraph.pl``-style tooling. The CLI writes the document as
 ``profile.json`` inside the run directory when a run is recorded.
-
-This module lives under ``repro.obs`` because it reads the wall clock
-(lint rule ``OBS002`` allows only this package to); the benchmark
-harness (:mod:`repro.bench`) borrows :func:`perf_now` / :func:`best_of`
-for the same reason.
 """
 
 from __future__ import annotations
 
 import sys
 import threading
-import time
 import types
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from ..errors import ObservabilityError
@@ -49,8 +43,6 @@ __all__ = [
     "Profile",
     "SamplingProfiler",
     "SpanAggregate",
-    "best_of",
-    "perf_now",
     "profile_from_spans",
     "profiling_env_interval",
     "span_self_times",
@@ -440,34 +432,3 @@ class SamplingProfiler:
         if self._thread is not None:
             self.stop()
 
-
-# ------------------------------------------------------------ timing helpers
-
-
-def perf_now() -> float:
-    """The monotonic performance clock, for code outside ``repro.obs``.
-
-    Lint rule ``OBS002`` confines raw clock reads to this package; the
-    benchmark harness (:mod:`repro.bench`) times through this function
-    so every timing in the library shares one clock.
-    """
-    return time.perf_counter()
-
-
-def best_of(
-    fn: Callable[[], object], rounds: int = 3
-) -> tuple[float, float]:
-    """``(best, mean)`` wall seconds of ``rounds`` calls to ``fn``.
-
-    Best-of suppresses scheduler noise (the convention the repo's
-    pytest benchmarks already use); the mean is reported alongside for
-    stability diagnostics.
-    """
-    if rounds < 1:
-        raise ObservabilityError(f"need >= 1 timing round, got {rounds}")
-    times = []
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return min(times), sum(times) / len(times)

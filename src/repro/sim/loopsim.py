@@ -29,7 +29,6 @@ from ..exec.tasks import ReplicateTask
 from ..faults import FaultInjector, FaultPlan, degraded_boundaries
 from ..obs import event as obs_event
 from ..obs import incr, obs_enabled, observe_value, span
-from ..obs.live import heartbeat_due
 from ..rng import spawn_rngs
 from ..system import (
     AvailabilityModel,
@@ -380,17 +379,6 @@ def run_parallel_loop(
         finish_times[wid] = finish
         if obs_enabled():
             _chunk_event(record)
-            # Rate-throttled heartbeat for live subscribers: bounded by
-            # wall time, not by iteration count, so a huge run stays a
-            # few events per second on the bus.
-            if heartbeat_due("sim.progress"):
-                obs_event(
-                    "sim.progress",
-                    finish,
-                    done=executed,
-                    total=session.n_iterations,
-                    technique=session.label or "",
-                )
         queue.push(finish, worker)
     if obs_enabled():
         # One bulk increment per loop, not one per event: the inner loop

@@ -14,8 +14,6 @@ from repro.obs import (
     Profile,
     SamplingProfiler,
     Tracer,
-    best_of,
-    perf_now,
     profile_from_spans,
     profiling_env_interval,
     span_self_times,
@@ -363,23 +361,3 @@ class TestSamplingProfiler:
         profiler.stop()
         profiler.start()
         profiler.stop()
-
-
-# --------------------------------------------------------- timing helpers
-
-
-class TestTimingHelpers:
-    def test_perf_now_monotonic(self):
-        a = perf_now()
-        b = perf_now()
-        assert b >= a
-
-    def test_best_of_counts_calls_and_orders_stats(self):
-        calls = []
-        best, mean = best_of(lambda: calls.append(1), rounds=4)
-        assert len(calls) == 4
-        assert 0.0 <= best <= mean
-
-    def test_best_of_rejects_zero_rounds(self):
-        with pytest.raises(ObservabilityError, match="round"):
-            best_of(lambda: None, rounds=0)

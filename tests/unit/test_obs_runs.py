@@ -1,8 +1,10 @@
-"""Tests for the run-artifact store (repro.obs.runs)."""
+"""Tests for the run-artifact store (repro.obs.runs) and the environment
+fingerprint its manifests carry (repro.obs.env)."""
 
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -12,10 +14,13 @@ from repro.obs import (
     RunRecord,
     RunRecorder,
     RunStore,
+    cpu_counts,
     current_recorder,
+    env_fingerprint,
     load_run,
     recording,
     resolve_run,
+    utc_stamp,
 )
 
 
@@ -203,3 +208,32 @@ class TestRecordingContext:
             with recording(RunRecorder(tmp_path, run_id="r1")):
                 raise RuntimeError("boom")
         assert current_recorder() is None
+
+
+# ------------------------------------------------------- env fingerprints
+
+
+class TestEnvFingerprint:
+    def test_fingerprint_fields(self):
+        env = env_fingerprint()
+        for key in (
+            "python", "implementation", "platform", "machine",
+            "cpu_logical", "cpu_physical", "cpu_available", "git_sha",
+            "repro_version",
+        ):
+            assert key in env
+        assert "workers" not in env
+        assert env_fingerprint(workers="auto")["workers"] == "auto"
+
+    def test_cpu_counts_sane(self):
+        counts = cpu_counts()
+        assert counts["cpu_logical"] >= 1
+        assert 1 <= counts["cpu_available"] <= counts["cpu_logical"]
+        physical = counts["cpu_physical"]
+        assert physical is None or physical >= 1
+
+    def test_utc_stamp_format(self):
+        assert utc_stamp(0.0) == "1970-01-01T00:00:00Z"
+        assert re.fullmatch(
+            r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z", utc_stamp()
+        )

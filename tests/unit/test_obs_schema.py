@@ -3,11 +3,13 @@
 Beyond the helper functions, this file pins the registry to reality:
 the AST view the lint rules extract must equal the imported module, the
 emitter literals in the instrumented modules must stay in sync with the
-registry, and docs/observability.md must document every declared name.
+registry, and docs/observability.md must document every declared name
+and declare every documented one.
 """
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 from repro._lint import run_lint
@@ -19,6 +21,29 @@ from repro.obs import schema, timeline
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC_DIR = REPO_ROOT / "src"
 DOCS = REPO_ROOT / "docs" / "observability.md"
+
+
+def _doc_table_names(text: str, column: str) -> list[str]:
+    """First-cell names of every markdown table whose header is ``column``."""
+    names: list[str] = []
+    in_table = False
+    for line in text.splitlines():
+        if not line.startswith("|"):
+            in_table = False
+            continue
+        first = line.strip("|").split("|")[0].strip()
+        if first == column:
+            in_table = True
+        elif in_table and set(first) - set("-: "):
+            names.append(first.strip("`"))
+    return names
+
+
+def _doc_span_tree_names(text: str) -> list[str]:
+    """Span names in the docs' span-tree diagram (the block at ``cdsf.run``)."""
+    start = text.index("```\ncdsf.run") + len("```\n")
+    block = text[start:text.index("```", start)]
+    return re.findall(r"^[\s│├└─]*([a-z_]+(?:\.[a-z_]+)+)", block, re.M)
 
 
 class TestSpecs:
@@ -145,3 +170,22 @@ class TestRegistrySync:
         ]
         undocumented = [name for name in names if name not in text]
         assert undocumented == []
+        # The other direction: a table row or tree node naming something
+        # the registry no longer declares is stale.
+        documented = {
+            "event": _doc_table_names(text, "event"),
+            "metric": _doc_table_names(text, "metric"),
+            "span": _doc_span_tree_names(text),
+        }
+        declared = {
+            "event": set(schema.event_names()),
+            "metric": set(schema.metric_names()),
+            "span": set(schema.span_names()),
+        }
+        for kind, found in documented.items():
+            assert found, f"no {kind} names parsed from {DOCS.name}"
+        stale = {
+            kind: [name for name in found if name not in declared[kind]]
+            for kind, found in documented.items()
+        }
+        assert stale == {"event": [], "metric": [], "span": []}

@@ -31,9 +31,6 @@ MODULES = [
     "repro.reporting",
     "repro.obs",
     "repro.obs.schema",
-    "repro.obs.live",
-    "repro.obs.serve",
-    "repro.bench",
     "repro.validation",
     "repro.io",
     "repro.rng",
