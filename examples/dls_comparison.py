@@ -101,19 +101,6 @@ def main() -> None:
             f"{worst[1]:.0f}  ({worst[1] / best[1]:.2f}x)\n"
         )
 
-    # Timeline view: why the adaptive winner beats STATIC under the
-    # two-slow-processors pattern.
-    from repro.reporting import render_gantt
-
-    models = perturbation_patterns()["2 slow procs"]
-    for tech_name in ("STATIC", "AWF-C"):
-        run = simulate_application(
-            app, group, make_technique(tech_name),
-            seed=42, config=config, availability=models,
-        )
-        print(render_gantt(run, width=76))
-        print()
-
 
 if __name__ == "__main__":
     main()

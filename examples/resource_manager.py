@@ -3,15 +3,12 @@
 
 The end-to-end story a CDSF deployment would run, composing everything:
 
-1. **Advise** — measure the instance and pick stage policies
-   (`repro.framework.selector`).
-2. **Map** — run the advised stage-I heuristic (robust initial mapping).
-3. **Tune** — pilot-select the best DLS technique per application
-   (`repro.framework.autotune`, the operational Table VI).
-4. **Assess** — analytic deadline/availability sensitivity and FePIA
+1. **Map** — run a stage-I heuristic (greedy robust initial mapping).
+2. **Assess** — analytic deadline/availability sensitivity and FePIA
    robustness radii for the chosen mapping.
-5. **Execute** — a multi-batch arrival stream through consecutive CDSF
-   rounds (`repro.framework.multibatch`).
+3. **Execute** — a multi-batch arrival stream through consecutive CDSF
+   rounds (`repro.framework.multibatch`), with AF as the stage-II
+   technique.
 
 Run:  python examples/resource_manager.py
 """
@@ -21,16 +18,16 @@ import numpy as np
 from repro.apps import WorkloadSpec, random_instance
 from repro.framework import (
     MultiBatchScheduler,
-    StudyConfig,
     analytic_tolerance,
-    extract_features,
-    recommend,
     robustness_radii,
-    select_techniques,
 )
 from repro.ra import HEURISTICS, StageIEvaluator
 from repro.reporting import render_table
 from repro.sim import LoopSimConfig
+
+#: The stage-I heuristic and stage-II technique this manager runs.
+HEURISTIC = "greedy-robust"
+TECHNIQUE = "AF"
 
 
 def main() -> None:
@@ -46,47 +43,18 @@ def main() -> None:
 
     # Deadline: 40% slack over a greedy probe.
     probe = StageIEvaluator(batch, system, 1e12)
-    greedy = HEURISTICS["greedy-robust"]().allocate(probe)
+    greedy = HEURISTICS[HEURISTIC]().allocate(probe)
     deadline = 1.4 * max(probe.report(greedy.allocation).expected_times.values())
-    config = StudyConfig(deadline=deadline, replications=8, seed=4, sim=sim)
 
-    # 1. Advise.
-    features = extract_features(batch, system, overhead=sim.overhead)
-    rec = recommend(features)
-    print(f"[advise] stage I = {rec.stage1}, stage II = {rec.stage2}")
-    for why in rec.rationale:
-        print(f"         - {why}")
-
-    # 2. Map.
+    # 1. Map.
     evaluator = StageIEvaluator(batch, system, deadline)
-    stage_i = HEURISTICS[rec.stage1]().allocate(evaluator)
+    stage_i = HEURISTICS[HEURISTIC]().allocate(evaluator)
     print(
-        f"\n[map]    {stage_i.heuristic}: phi_1 = {stage_i.robustness:.1%} "
+        f"[map]    {stage_i.heuristic}: phi_1 = {stage_i.robustness:.1%} "
         f"({stage_i.evaluations} evaluations)"
     )
 
-    # 3. Tune.
-    selection = select_techniques(
-        batch, stage_i.allocation, system, config, pilot_replications=4
-    )
-    print("\n[tune]   per-application DLS selection (pilot of 4 replications):")
-    print(
-        render_table(
-            ["application", "group", "technique", "pilot meets deadline"],
-            [
-                (
-                    app,
-                    f"{stage_i.allocation.group(app).size} x "
-                    f"{stage_i.allocation.group(app).ptype.name}",
-                    tech.name,
-                    selection.deadline_met[app],
-                )
-                for app, tech in selection.assignment.items()
-            ],
-        )
-    )
-
-    # 4. Assess.
+    # 2. Assess.
     tolerance = analytic_tolerance(
         batch, system, stage_i.allocation, deadline, target=0.5
     )
@@ -101,7 +69,7 @@ def main() -> None:
         + f"; uniform: {radii.uniform:.1f}%"
     )
 
-    # 5. Execute a stream: the same batch arriving twice more over time.
+    # 3. Execute a stream: the same batch arriving twice more over time.
     arrivals = []
     t = 0.0
     for round_idx in range(3):
@@ -119,8 +87,8 @@ def main() -> None:
 
     scheduler = MultiBatchScheduler(
         system,
-        HEURISTICS[rec.stage1](),
-        rec.stage2,
+        HEURISTICS[HEURISTIC](),
+        TECHNIQUE,
         deadline=deadline,
         sim=sim,
         seed=6,

@@ -8,7 +8,6 @@ Usage (also via ``python -m repro``)::
     python -m repro robustness                  # the (rho1, rho2) tuple
     python -m repro techniques                  # list DLS techniques
     python -m repro heuristics                  # list RA heuristics
-    python -m repro recommend [--synthetic N]   # policy advisor
     python -m repro export instance.json        # save the paper instance
 
 Observability (the flags come *before* the subcommand)::
@@ -37,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from collections.abc import Sequence
@@ -45,7 +45,7 @@ from pathlib import Path
 from .dls import ALL_TECHNIQUES
 from .errors import ExecutionError, ObservabilityError
 from .exec import ExecutionBackend, default_workers, get_backend, parse_workers
-from .framework import Scenario, format_observability, run_scenario
+from .framework import Scenario, run_scenario
 from .obs import (
     ENV_PROF,
     ENV_RUN_DIR,
@@ -58,6 +58,7 @@ from .obs import (
     console,
     current,
     current_recorder,
+    format_observability,
     metrics_snapshot,
     obs_enabled,
     observed,
@@ -153,18 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("techniques", help="list the implemented DLS techniques")
     sub.add_parser("heuristics", help="list the implemented RA heuristics")
 
-    rec = sub.add_parser(
-        "recommend",
-        help="advise stage-I/II policies for the paper instance "
-        "(or a generated one)",
-    )
-    rec.add_argument(
-        "--synthetic", type=int, metavar="N_APPS", default=None,
-        help="advise for a generated instance with N_APPS applications "
-        "instead of the paper example",
-    )
-    rec.add_argument("--seed", type=int, default=0)
-
     exp = sub.add_parser(
         "export", help="write the paper instance as a JSON file"
     )
@@ -205,8 +194,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _positive_int(text: str) -> int:
+    """argparse ``type=``: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse ``type=``: a finite float > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}"
+        ) from None
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
+    return value
+
+
 def _sim_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--replications", type=int, default=None)
+    parser.add_argument("--replications", type=_positive_int, default=None)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument(
         "--statistic", default="mean", choices=["mean", "median", "max", "p90"]
@@ -217,7 +230,7 @@ def _sim_args(parser: argparse.ArgumentParser) -> None:
         "blackouts, and slowdowns into every simulation",
     )
     parser.add_argument(
-        "--fault-rate", type=float, metavar="RATE", default=1e-4,
+        "--fault-rate", type=_positive_float, metavar="RATE", default=1e-4,
         help="fault intensity (events per simulated time unit per worker) "
         "for --faults (default: %(default)s)",
     )
@@ -270,7 +283,8 @@ def _chaos_sim(args):
     return replace(PAPER_SIM_CONFIG, faults=plan)
 
 
-def _figure_kwargs(args) -> dict:
+def _sim_kwargs(args) -> dict:
+    """The study keyword arguments a simulation command's flags select."""
     kwargs = {"statistic": args.statistic}
     if args.replications is not None:
         kwargs["replications"] = args.replications
@@ -289,7 +303,7 @@ def _record_result(name: str, payload: dict) -> None:
 
 
 def _cmd_figure(args, backend: ExecutionBackend) -> int:
-    series = figure_series(args.name, backend=backend, **_figure_kwargs(args))
+    series = figure_series(args.name, backend=backend, **_sim_kwargs(args))
     _record_result(
         "figure",
         {
@@ -344,21 +358,10 @@ def _cmd_figure(args, backend: ExecutionBackend) -> int:
     return 0
 
 
-def _cdsf_kwargs(args) -> dict:
-    kwargs = {"statistic": args.statistic}
-    if args.replications is not None:
-        kwargs["replications"] = args.replications
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    if args.faults:
-        kwargs["sim"] = _chaos_sim(args)
-    return kwargs
-
-
 def _cmd_scenario(args, backend: ExecutionBackend) -> int:
     result = run_scenario(
         _SCENARIOS[args.number],
-        paper_cdsf(**_cdsf_kwargs(args)),
+        paper_cdsf(**_sim_kwargs(args)),
         paper_cases(),
         backend=backend,
     )
@@ -415,7 +418,7 @@ def _cmd_scenario(args, backend: ExecutionBackend) -> int:
 def _cmd_robustness(args, backend: ExecutionBackend) -> int:
     result = run_scenario(
         Scenario.ROBUST_IM_ROBUST_RAS,
-        paper_cdsf(**_cdsf_kwargs(args)),
+        paper_cdsf(**_sim_kwargs(args)),
         paper_cases(),
         backend=backend,
     )
@@ -471,7 +474,7 @@ def _cmd_robustness(args, backend: ExecutionBackend) -> int:
     if args.faults:
         from .framework import FaultImpact
 
-        baseline_kwargs = _cdsf_kwargs(args)
+        baseline_kwargs = _sim_kwargs(args)
         baseline_kwargs.pop("sim")
         baseline = run_scenario(
             Scenario.ROBUST_IM_ROBUST_RAS,
@@ -515,8 +518,6 @@ def _dispatch(args, backend: ExecutionBackend) -> int:
         for name, cls in sorted(HEURISTICS.items()):
             console(f"{name:22s} {cls.__doc__.strip().splitlines()[0]}")
         return 0
-    if args.command == "recommend":
-        return _cmd_recommend(args)
     if args.command == "export":
         from .io import save_instance
         from .paper import data, paper_batch, paper_system
@@ -782,36 +783,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _run(args, workers, interval)
     with recording(recorder):
         return _run(args, workers, interval, recorder)
-
-
-def _cmd_recommend(args) -> int:
-    from .framework import extract_features, recommend
-    from .paper import paper_batch, paper_system
-
-    if args.synthetic is not None:
-        from .apps import WorkloadSpec, random_instance
-
-        system, batch = random_instance(
-            WorkloadSpec(n_apps=args.synthetic), args.seed
-        )
-        label = f"generated instance ({args.synthetic} applications)"
-    else:
-        batch, system = paper_batch(), paper_system("case1")
-        label = "paper instance"
-    features = extract_features(batch, system, overhead=1.0)
-    rec = recommend(features)
-    console(f"Instance: {label}")
-    console(
-        f"  {features.n_apps} applications, {features.total_processors} "
-        f"processors in {features.n_types} types; allocation space bound "
-        f"{features.allocation_space_bound:.3g}; availability cv "
-        f"{features.availability_cv:.2f}"
-    )
-    console(f"Stage I : {rec.stage1}")
-    console(f"Stage II: {rec.stage2}")
-    for why in rec.rationale:
-        console(f"  - {why}")
-    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

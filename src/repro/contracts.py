@@ -2,9 +2,9 @@
 
 The static linter (:mod:`repro._lint`) enforces invariants that are
 visible in the source; this module checks the ones that only exist at
-runtime: a PMF that left canonicalization really is canonical, the
-simulator's clock really is monotone, an allocation a heuristic returned
-really is feasible. The checks are assertions, not error handling — they
+runtime: a PMF that left canonicalization really is canonical, a span
+really closes after it opened, an allocation a heuristic returned really
+is feasible. The checks are assertions, not error handling — they
 guard against bugs *inside* the library, so they are off by default and
 enabled by setting ``REPRO_VALIDATE=1`` in the environment (the property
 tests run with contracts hot).
@@ -47,7 +47,6 @@ __all__ = [
     "validation",
     "require",
     "check_pmf_canonical",
-    "check_event_monotone",
     "check_span_monotone",
     "check_allocation_feasible",
     "check_iteration_conservation",
@@ -128,15 +127,6 @@ def check_pmf_canonical(values: np.ndarray, probs: np.ndarray) -> None:
     require(
         not values.flags.writeable and not probs.flags.writeable,
         "canonical PMF arrays must be frozen (read-only)",
-    )
-
-
-def check_event_monotone(now: float, event_time: float) -> None:
-    """Simulation-clock contract: the next event never precedes ``now``."""
-    require(
-        event_time >= now,
-        f"event queue yielded time {event_time} before clock {now}; "
-        "the simulator clock must be monotone",
     )
 
 

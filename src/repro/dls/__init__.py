@@ -2,7 +2,7 @@
 
 Non-adaptive (STATIC, SS, FSC, mFSC, GSS, TSS, TFSS, FAC, WF) and adaptive
 (FAC-P, AWF and variants, AF) chunk-size policies behind a common session
-interface, plus a name registry and simulation-free chunk-profile analysis.
+interface, plus a name registry.
 """
 
 from .base import DLSTechnique, SchedulingSession, WorkerState
@@ -25,7 +25,6 @@ from .adaptive import (
     AdaptiveFactoring,
 )
 from .registry import ALL_TECHNIQUES, PAPER_TECHNIQUES, ROBUST_SET, make_technique
-from .analysis import ChunkProfile, chunk_profile, overhead_fraction
 
 __all__ = [
     "DLSTechnique",
@@ -51,7 +50,4 @@ __all__ = [
     "PAPER_TECHNIQUES",
     "ROBUST_SET",
     "make_technique",
-    "ChunkProfile",
-    "chunk_profile",
-    "overhead_fraction",
 ]

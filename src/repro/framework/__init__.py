@@ -6,7 +6,7 @@ from .robustness import (
     SystemRobustness,
     FaultImpact,
 )
-from .study import StudyConfig, StudyResult, DLSStudy
+from .study import StudyConfig, StudyResult, DLSStudy, summary_statistic
 from .cdsf import CDSF, CDSFResult
 from .sensitivity import (
     deadline_curve,
@@ -15,15 +15,7 @@ from .sensitivity import (
     analytic_tolerance,
 )
 from .multibatch import BatchOutcome, MultiBatchResult, MultiBatchScheduler
-from .reports import (
-    format_stage_i,
-    format_stage_ii,
-    format_full_report,
-    format_observability,
-)
 from .fepia import RadiusReport, per_type_radius, robustness_radii
-from .selector import InstanceFeatures, Recommendation, extract_features, recommend
-from .autotune import TechniqueSelection, select_techniques
 from .scenarios import (
     Scenario,
     ScenarioSpec,
@@ -40,6 +32,7 @@ __all__ = [
     "StudyConfig",
     "StudyResult",
     "DLSStudy",
+    "summary_statistic",
     "CDSF",
     "CDSFResult",
     "deadline_curve",
@@ -49,19 +42,9 @@ __all__ = [
     "BatchOutcome",
     "MultiBatchResult",
     "MultiBatchScheduler",
-    "format_stage_i",
-    "format_stage_ii",
-    "format_full_report",
-    "format_observability",
     "RadiusReport",
     "per_type_radius",
     "robustness_radii",
-    "InstanceFeatures",
-    "Recommendation",
-    "extract_features",
-    "recommend",
-    "TechniqueSelection",
-    "select_techniques",
     "Scenario",
     "ScenarioSpec",
     "scenario_spec",

@@ -15,13 +15,15 @@ aggregates replication makespans. From the resulting grid it derives:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
+from typing import Any
+
+import numpy as np
 
 from ..apps import Batch
 from ..dls import DLSTechnique, make_technique
 from ..errors import ModelError
 from ..exec import ExecutionBackend, ReplicateTask, SeedTree, get_backend
-from ..metrics import summary_statistic
 from ..obs import incr, obs_enabled, span
 from ..ra import Allocation
 from ..rng import DEFAULT_SEED
@@ -29,7 +31,35 @@ from ..sim import LoopSimConfig, ReplicatedAppStats, replication_seeds
 from ..system import HeterogeneousSystem
 from .robustness import stage_ii_robustness
 
-__all__ = ["StudyConfig", "StudyResult", "DLSStudy"]
+__all__ = ["StudyConfig", "StudyResult", "DLSStudy", "summary_statistic"]
+
+#: The replication aggregates :func:`summary_statistic` accepts, by name.
+_STATISTICS: dict[str, Callable[[np.ndarray], Any]] = {
+    "mean": np.mean,
+    "median": np.median,
+    "max": np.max,
+    "min": np.min,
+    "p90": lambda arr: np.percentile(arr, 90),
+}
+
+
+def summary_statistic(values: Sequence[float], statistic: str = "mean") -> float:
+    """Reduce replication makespans to one number.
+
+    ``statistic``: ``"mean"``, ``"median"``, ``"max"``, ``"min"``, or
+    ``"p90"`` (90th percentile). The experiment harness exposes this choice
+    because the paper reports single per-case execution times whose exact
+    aggregation is unspecified.
+    """
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.size == 0:
+        raise ValueError("need at least one value")
+    if statistic not in _STATISTICS:
+        raise ValueError(
+            f"unknown statistic {statistic!r}; expected one of "
+            f"{', '.join(_STATISTICS)}"
+        )
+    return float(_STATISTICS[statistic](arr))
 
 
 @dataclass(frozen=True)
@@ -37,7 +67,7 @@ class StudyConfig:
     """Knobs of a stage-II study.
 
     ``statistic`` picks the replication aggregate reported as "the"
-    execution time (see :func:`repro.metrics.summary_statistic`).
+    execution time (see :func:`summary_statistic`).
     """
 
     deadline: float
@@ -52,6 +82,11 @@ class StudyConfig:
         if self.replications < 1:
             raise ModelError(
                 f"replications must be >= 1, got {self.replications}"
+            )
+        if self.statistic not in _STATISTICS:
+            raise ModelError(
+                f"statistic must be one of {', '.join(_STATISTICS)}, "
+                f"got {self.statistic!r}"
             )
 
 

@@ -40,6 +40,28 @@ __all__ = [
 
 FORMAT_VERSION = 1
 
+_REQUIRED = object()
+
+
+def _field(doc: dict, key: str, kind: type, default: object = _REQUIRED):
+    """``kind(doc[key])``; a :class:`ModelError` naming ``key`` otherwise.
+
+    ``default`` stands in for an absent key; without one the key is
+    required.
+    """
+    try:
+        value = doc[key]
+    except KeyError:
+        if default is _REQUIRED:
+            raise ModelError(f"missing field {key!r}") from None
+        value = default
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ModelError(
+            f"field {key!r} must be {kind.__name__}, got {value!r}"
+        ) from None
+
 
 def pmf_to_dict(pmf: PMF) -> dict:
     return {
@@ -74,8 +96,8 @@ def system_from_dict(payload: dict) -> HeterogeneousSystem:
         return HeterogeneousSystem(
             ProcessorType(
                 name=doc["name"],
-                count=int(doc["count"]),
-                capacity=float(doc.get("capacity", 1.0)),
+                count=_field(doc, "count", int),
+                capacity=_field(doc, "capacity", float, 1.0),
                 availability=pmf_from_dict(doc["availability"]),
             )
             for doc in payload["types"]
@@ -108,11 +130,11 @@ def application_from_dict(payload: dict) -> Application:
         )
         return Application(
             name=payload["name"],
-            n_serial=int(payload["n_serial"]),
-            n_parallel=int(payload["n_parallel"]),
+            n_serial=_field(payload, "n_serial", int),
+            n_parallel=_field(payload, "n_parallel", int),
             exec_time=exec_time,
             serial_fraction=payload.get("serial_fraction"),
-            iteration_cv=float(payload.get("iteration_cv", 0.1)),
+            iteration_cv=_field(payload, "iteration_cv", float, 0.1),
         )
     except (KeyError, TypeError) as exc:
         raise ModelError(f"malformed application payload: {exc}") from exc
@@ -156,16 +178,32 @@ def save_instance(
 
 
 def load_instance(path) -> tuple[HeterogeneousSystem, Batch, float | None]:
-    """Inverse of :func:`save_instance`; returns (system, batch, deadline)."""
-    payload = json.loads(Path(path).read_text())
+    """Inverse of :func:`save_instance`; returns (system, batch, deadline).
+
+    Instance files come from outside the program, so a malformed one
+    raises :class:`ModelError` naming the offending field.
+    """
+    try:
+        payload = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise ModelError(f"instance file {path} is not JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ModelError(
+            f"instance file {path} must hold a JSON object, "
+            f"got {type(payload).__name__}"
+        )
     version = payload.get("format_version")
     if version != FORMAT_VERSION:
         raise ModelError(
             f"unsupported instance format version {version!r} "
             f"(this library reads version {FORMAT_VERSION})"
         )
+    for key in ("system", "batch"):
+        if key not in payload:
+            raise ModelError(f"instance file {path} has no {key!r} field")
+    deadline = payload.get("deadline")
     return (
         system_from_dict(payload["system"]),
         batch_from_dict(payload["batch"]),
-        payload.get("deadline"),
+        None if deadline is None else _field(payload, "deadline", float),
     )

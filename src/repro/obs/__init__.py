@@ -64,7 +64,11 @@ from .prof import (
     span_self_times,
     speedscope_document,
 )
-from .report import render_run_comparison, render_run_report
+from .report import (
+    format_observability,
+    render_run_comparison,
+    render_run_report,
+)
 from .runs import (
     ENV_RUN_DIR,
     RunRecord,
@@ -139,6 +143,7 @@ __all__ = [
     "current_recorder",
     "env_fingerprint",
     "event",
+    "format_observability",
     "gauge_set",
     "get_logger",
     "git_revision",

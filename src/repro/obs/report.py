@@ -6,19 +6,16 @@ statistics, top spans by self-time, fault summary) and ``repro compare
 <runA> <runB>`` diffs two runs (metric deltas, per-technique makespan
 changes, :class:`~repro.framework.robustness.FaultImpact`-style rho
 drops). Both return plain markdown strings — the CLI prints them, the CI
-smoke job uploads them as artifacts.
-
-Only :mod:`repro.obs` internals are imported at module level; the
-markdown table renderer and :class:`FaultImpact` come from
-:mod:`repro.reporting` / :mod:`repro.framework` via deferred imports
-(those packages import the simulator, which imports ``repro.obs`` — a
-module-level import here would cycle).
+smoke job uploads them as artifacts. :func:`format_observability` renders
+the ``--metrics`` summary of a live session's metrics snapshot.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
+from typing import Any
 
+from ..reporting.tables import render_markdown_table, render_table
 from .prof import SpanAggregate, span_self_times
 from .runs import RunRecord
 from .timeline import AppTimeline, timelines_from_records
@@ -28,6 +25,7 @@ __all__ = [
     "span_self_times",
     "render_run_report",
     "render_run_comparison",
+    "format_observability",
 ]
 
 
@@ -40,8 +38,6 @@ def _md_table(
     *,
     floatfmt: str = ".4g",
 ) -> str:
-    from ..reporting.tables import render_markdown_table
-
     return render_markdown_table(headers, rows, floatfmt=floatfmt)
 
 
@@ -321,6 +317,8 @@ def render_run_comparison(
         )
     rob_a, rob_b = _run_robustness(a), _run_robustness(b)
     if rob_a is not None and rob_b is not None:
+        # Deferred: repro.framework imports the simulator, which imports
+        # repro.obs, so a module-level import here would cycle.
         from ..framework.robustness import FaultImpact, SystemRobustness
 
         impact = FaultImpact(
@@ -359,3 +357,64 @@ def render_run_comparison(
             )
         )
     return "\n\n".join(parts) + "\n"
+
+
+def format_observability(snapshot: Mapping[str, Any] | None) -> str:
+    """Human-readable run summary of a metrics snapshot.
+
+    ``snapshot`` is the dict returned by
+    :func:`repro.obs.metrics_snapshot` (or
+    :meth:`~repro.obs.MetricsRegistry.snapshot`); None or an all-empty
+    snapshot renders a one-line placeholder.
+    """
+    if snapshot is None:
+        return "Observability: no observation session was active."
+    sections: list[str] = []
+    counters = snapshot.get("counters", {})
+    if counters:
+        sections.append(
+            render_table(
+                ["counter", "value"],
+                sorted(counters.items()),
+                title="Observability: counters",
+                floatfmt=".0f",
+            )
+        )
+    gauges = snapshot.get("gauges", {})
+    if gauges:
+        sections.append(
+            render_table(
+                ["gauge", "last", "min", "max", "updates"],
+                [
+                    (name, g["last"], g["min"], g["max"], g["updates"])
+                    for name, g in sorted(gauges.items())
+                ],
+                title="Observability: gauges",
+                floatfmt=".4g",
+            )
+        )
+    histograms = snapshot.get("histograms", {})
+    if histograms:
+        sections.append(
+            render_table(
+                ["histogram", "count", "mean", "p50", "p90", "p99", "min", "max"],
+                [
+                    (
+                        name,
+                        h["count"],
+                        h["mean"],
+                        h.get("p50"),
+                        h.get("p90"),
+                        h.get("p99"),
+                        h["min"],
+                        h["max"],
+                    )
+                    for name, h in sorted(histograms.items())
+                ],
+                title="Observability: histograms",
+                floatfmt=".4g",
+            )
+        )
+    if not sections:
+        return "Observability: no metrics were recorded."
+    return "\n\n".join(sections)

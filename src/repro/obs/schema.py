@@ -128,9 +128,6 @@ METRICS: tuple[MetricSpec, ...] = (
     MetricSpec("sim.apps", "counter", "stage-II application simulations"),
     MetricSpec("sim.iterations", "counter", "parallel iterations executed"),
     MetricSpec(
-        "sim.engine.events", "counter", "discrete events processed per run"
-    ),
-    MetricSpec(
         "sim.loop.events",
         "counter",
         "scheduling-loop events popped by run_parallel_loop",
@@ -232,7 +229,6 @@ SPANS: tuple[SpanSpec, ...] = (
     SpanSpec("study.case", "one availability case of the study grid"),
     SpanSpec("sim.replicate", "replicated simulations of one app"),
     SpanSpec("sim.app", "one application simulation"),
-    SpanSpec("sim.engine.run", "the discrete-event loop of one run"),
 )
 
 

@@ -190,17 +190,15 @@ class AppTimeline:
     def load_imbalance(self) -> float:
         """Coefficient of variation (sigma/mu) of worker finish times.
 
-        0 means perfect balance — the paper's DLS quality measure,
-        identical to :meth:`repro.sim.results.AppRunResult.load_imbalance`.
+        0 means perfect balance — the paper's DLS quality measure, computed
+        by the same function as
+        :meth:`repro.sim.results.AppRunResult.load_imbalance`.
         """
-        finishes = list(self.worker_finish_times().values())
-        if len(finishes) <= 1:
-            return 0.0
-        mean = sum(finishes) / len(finishes)
-        if mean <= 0:
-            return 0.0
-        var = sum((f - mean) ** 2 for f in finishes) / len(finishes)
-        return math.sqrt(var) / mean
+        # Deferred: repro.sim imports repro.obs, so a module-level import
+        # here would cycle.
+        from ..sim.results import finish_time_cv
+
+        return finish_time_cv(self.worker_finish_times().values())
 
     def utilization(self) -> float:
         """Fraction of worker-time inside the loop spent computing."""

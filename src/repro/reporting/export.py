@@ -1,4 +1,4 @@
-"""CSV / JSON export of experiment results.
+"""CSV export of experiment results.
 
 The benchmark harness writes machine-readable copies of every regenerated
 table and figure series next to the printed output, so downstream analysis
@@ -8,11 +8,10 @@ table and figure series next to the printed output, so downstream analysis
 from __future__ import annotations
 
 import csv
-import json
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from pathlib import Path
 
-__all__ = ["write_csv", "write_json", "rows_to_dicts"]
+__all__ = ["write_csv"]
 
 
 def write_csv(
@@ -34,29 +33,3 @@ def write_csv(
                 )
             writer.writerow(list(row))
     return path
-
-
-def write_json(path: str | Path, payload: Mapping | Sequence) -> Path:
-    """Write a JSON document (pretty-printed, stable key order)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_coerce)
-        fh.write("\n")
-    return path
-
-
-def rows_to_dicts(
-    headers: Sequence[str], rows: Iterable[Sequence[object]]
-) -> list[dict[str, object]]:
-    """Zip rows with headers into JSON-friendly dictionaries."""
-    return [dict(zip(headers, row)) for row in rows]
-
-
-def _coerce(obj: object):
-    """JSON fallback for numpy scalars and other simple objects."""
-    for attr in ("item",):  # numpy scalar -> python scalar
-        fn = getattr(obj, attr, None)
-        if callable(fn):
-            return fn()
-    return str(obj)

@@ -1,7 +1,6 @@
 """Discrete-event simulation substrate for stage II."""
 
 from .events import Event, EventQueue
-from .engine import Simulator
 from .worker import SimWorker, ChunkExecution
 from .results import (
     ChunkRecord,
@@ -28,12 +27,10 @@ from .timesteps import (
     simulate_timestepped,
 )
 from .batchsim import simulate_batch, replicate_batch
-from .planning import ReplicationPlan, plan_replications
 
 __all__ = [
     "Event",
     "EventQueue",
-    "Simulator",
     "SimWorker",
     "ChunkExecution",
     "ChunkRecord",
@@ -54,8 +51,6 @@ __all__ = [
     "simulate_timestepped",
     "simulate_batch",
     "replicate_batch",
-    "ReplicationPlan",
-    "plan_replications",
     "DEFAULT_OVERHEAD",
     "DEFAULT_AVAIL_INTERVAL",
 ]

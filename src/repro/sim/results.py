@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
+    "finish_time_cv",
     "ChunkRecord",
     "MasterFailover",
     "AppRunResult",
@@ -14,6 +16,20 @@ __all__ = [
     "ReplicatedAppStats",
     "ReplicatedBatchStats",
 ]
+
+
+def finish_time_cv(finish_times: Iterable[float]) -> float:
+    """Coefficient of variation (sigma/mu) of worker finish times.
+
+    0 means perfect balance; the classic DLS quality metric. The one
+    implementation behind :meth:`AppRunResult.load_imbalance` and
+    :meth:`repro.obs.AppTimeline.load_imbalance`.
+    """
+    finishes = np.array(list(finish_times))
+    if finishes.size <= 1:
+        return 0.0
+    mean = finishes.mean()
+    return float(finishes.std() / mean) if mean > 0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -80,15 +96,8 @@ class AppRunResult:
         return out
 
     def load_imbalance(self) -> float:
-        """Coefficient of variation of worker finish times in the loop phase.
-
-        0 means perfect balance; the classic DLS quality metric.
-        """
-        finishes = np.array(list(self.worker_finish_times.values()))
-        if finishes.size <= 1:
-            return 0.0
-        mean = finishes.mean()
-        return float(finishes.std() / mean) if mean > 0 else 0.0
+        """Coefficient of variation of worker finish times in the loop phase."""
+        return finish_time_cv(self.worker_finish_times.values())
 
 
 @dataclass(frozen=True)

@@ -21,16 +21,6 @@ from .availability import (
     quota_levels,
 )
 from .correlated import SharedLoadModulator, ModulatedAvailability
-from .traces import (
-    record_trace,
-    summarize_trace,
-    TraceSummary,
-    empirical_pmf_pairs,
-    trace_to_dict,
-    trace_from_dict,
-    save_traces,
-    load_traces,
-)
 
 __all__ = [
     "Processor",
@@ -48,12 +38,4 @@ __all__ = [
     "quota_levels",
     "SharedLoadModulator",
     "ModulatedAvailability",
-    "record_trace",
-    "summarize_trace",
-    "TraceSummary",
-    "empirical_pmf_pairs",
-    "trace_to_dict",
-    "trace_from_dict",
-    "save_traces",
-    "load_traces",
 ]

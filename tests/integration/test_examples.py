@@ -63,8 +63,6 @@ class TestExamples:
     @pytest.mark.slow
     def test_resource_manager(self, capsys):
         out = run_example("resource_manager.py", capsys)
-        assert "[advise]" in out
         assert "[map]" in out
-        assert "[tune]" in out
         assert "[assess]" in out
         assert "stream makespan" in out

@@ -101,17 +101,6 @@ class TestCommands:
 
 
 class TestRecommendAndChart:
-    def test_recommend_paper(self, capsys):
-        assert main(["recommend"]) == 0
-        out = capsys.readouterr().out
-        assert "Stage I" in out and "Stage II" in out
-        assert "branch-and-bound" in out
-
-    def test_recommend_synthetic(self, capsys):
-        assert main(["recommend", "--synthetic", "15", "--seed", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "generated instance" in out
-
     def test_figure_chart(self, capsys):
         assert main(
             ["figure", "fig6", "--chart", "--replications", "2", "--seed", "1"]
@@ -337,6 +326,24 @@ class TestRunStoreCommands:
         assert out.startswith("error: ")
         assert name in out and "'junk'" in out
         assert not base.exists(), "a rejected setting left a run directory"
+
+    @pytest.mark.parametrize(
+        ("flags", "name"),
+        [
+            (["--replications", "0"], "--replications"),
+            (["--faults", "--fault-rate", "-1"], "--fault-rate"),
+        ],
+        ids=["--replications", "--fault-rate"],
+    )
+    def test_out_of_range_flag_rejected_at_parse_time(
+        self, tmp_path, capsys, flags, name
+    ):
+        base = tmp_path / "runs"
+        with pytest.raises(SystemExit) as exc:
+            main(["--run-dir", str(base), "scenario", "4", *flags])
+        assert exc.value.code == 2
+        assert f"argument {name}" in capsys.readouterr().err
+        assert not base.exists(), "a rejected flag left a run directory"
 
 
 class TestProfileFlag:

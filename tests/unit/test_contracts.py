@@ -8,7 +8,6 @@ import pytest
 from repro.contracts import (
     ContractViolation,
     check_allocation_feasible,
-    check_event_monotone,
     check_pmf_canonical,
     check_span_monotone,
     contracts_enabled,
@@ -17,7 +16,6 @@ from repro.contracts import (
 )
 from repro.pmf import PMF, convolve
 from repro.ra import Allocation, StageIEvaluator
-from repro.sim.engine import Simulator
 from repro.system import ProcessorGroup
 
 
@@ -86,16 +84,6 @@ class TestPmfCanonical:
             convolve(pmf, pmf).mean()  # algebra keeps the contract
 
 
-class TestEventMonotone:
-    def test_forward_time_passes(self):
-        check_event_monotone(1.0, 1.0)
-        check_event_monotone(1.0, 2.0)
-
-    def test_backward_time_rejected(self):
-        with pytest.raises(ContractViolation, match="monotone"):
-            check_event_monotone(2.0, 1.0)
-
-
 class TestSpanMonotone:
     def test_forward_span_passes(self):
         check_span_monotone("s", 1.0, 1.0)
@@ -134,15 +122,6 @@ class TestSpanMonotone:
             with pytest.raises(ContractViolation, match="before it starts"):
                 with tracer.span("outer"):
                     pass
-
-    def test_simulator_runs_hot(self):
-        with validation(True):
-            sim = Simulator()
-            seen = []
-            sim.schedule_at(1.0, lambda s: seen.append(s.now))
-            sim.schedule_at(0.5, lambda s: seen.append(s.now))
-            sim.run()
-            assert seen == [0.5, 1.0]
 
 
 class TestAllocationFeasible:

@@ -54,7 +54,6 @@ class TestPackageSurface:
             "repro.faults",
             "repro.framework",
             "repro.paper",
-            "repro.metrics",
             "repro.reporting",
             "repro.cli",
         ],

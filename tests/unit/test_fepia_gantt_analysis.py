@@ -1,13 +1,9 @@
-"""Unit tests for FePIA radii, the Gantt renderer, and chunk analysis."""
+"""Unit tests for FePIA robustness radii."""
 
 import pytest
 
-from repro.dls import chunk_profile, make_technique, overhead_fraction
-from repro.errors import ModelError, SchedulingError
+from repro.errors import ModelError
 from repro.framework import per_type_radius, robustness_radii
-from repro.reporting import render_gantt
-from repro.sim import LoopSimConfig, simulate_application
-from repro.system import ConstantAvailability
 
 
 @pytest.fixture(scope="module")
@@ -63,86 +59,3 @@ class TestFePIA:
             per_type_radius(batch, system, allocation, deadline, "typeX")
         with pytest.raises(ModelError):
             per_type_radius(batch, system, allocation, 0.0, "type1")
-
-
-class TestGantt:
-    @pytest.fixture(scope="class")
-    def run(self, paper_setup):
-        batch, system, _, _ = paper_setup
-        return simulate_application(
-            batch.app("app3"),
-            system.group("type2", 4),
-            make_technique("FAC"),
-            seed=1,
-            config=LoopSimConfig(overhead=1.0, master_policy="first"),
-            availability=ConstantAvailability(1.0),
-        )
-
-    def test_one_row_per_worker(self, run):
-        out = render_gantt(run, width=60)
-        lines = out.splitlines()
-        assert len(lines) == 1 + 4 + 1  # title + workers + scale
-        for w in range(4):
-            assert lines[1 + w].startswith(f"w{w}")
-
-    def test_serial_marked_on_master(self, run):
-        out = render_gantt(run, width=60)
-        master_row = out.splitlines()[1 + (run.master_id or 0)]
-        assert "S" in master_row
-        for w in range(4):
-            if w != run.master_id:
-                assert "S" not in out.splitlines()[1 + w]
-
-    def test_makespan_on_scale(self, run):
-        out = render_gantt(run, width=60)
-        assert f"{run.makespan:.0f}" in out.splitlines()[-1]
-
-    def test_custom_title(self, run):
-        out = render_gantt(run, width=60, title="custom")
-        assert out.splitlines()[0] == "custom"
-
-    def test_width_validation(self, run):
-        with pytest.raises(ValueError):
-            render_gantt(run, width=5)
-
-
-class TestChunkAnalysis:
-    def test_profiles_sum_to_n(self):
-        for name in ("STATIC", "SS", "FAC", "GSS", "TSS", "AF", "AWF-B"):
-            profile = chunk_profile(make_technique(name), 1000, 4)
-            assert sum(profile.sizes) == 1000, name
-            assert profile.n_chunks == len(profile.sizes)
-            assert profile.smallest >= 1
-
-    def test_known_counts(self):
-        assert chunk_profile(make_technique("STATIC"), 1000, 4).n_chunks == 4
-        assert chunk_profile(make_technique("SS"), 1000, 4).n_chunks == 1000
-
-    def test_overhead_ordering(self):
-        n, p, h = 4096, 8, 1.0
-        fractions = {
-            name: overhead_fraction(
-                chunk_profile(make_technique(name), n, p),
-                per_chunk_overhead=h,
-            )
-            for name in ("STATIC", "FAC", "SS")
-        }
-        assert fractions["STATIC"] < fractions["FAC"] < fractions["SS"]
-        assert fractions["SS"] == pytest.approx(1.0)
-
-    def test_mean_size(self):
-        profile = chunk_profile(make_technique("STATIC"), 1000, 4)
-        assert profile.mean_size == 250.0
-        assert profile.largest == 250
-
-    def test_adaptive_profile_with_noise(self):
-        profile = chunk_profile(
-            make_technique("AF"), 2048, 4, iteration_cv=0.5, seed=3
-        )
-        assert sum(profile.sizes) == 2048
-
-    def test_validation(self):
-        with pytest.raises(SchedulingError):
-            chunk_profile(make_technique("FAC"), 0, 4)
-        with pytest.raises(SchedulingError):
-            chunk_profile(make_technique("FAC"), 10, 0)

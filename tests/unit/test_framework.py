@@ -105,6 +105,10 @@ class TestStudyConfig:
         with pytest.raises(ModelError):
             StudyConfig(deadline=10.0, replications=0)
 
+    def test_unknown_statistic_rejected_at_construction(self):
+        with pytest.raises(ModelError, match="statistic"):
+            StudyConfig(deadline=3250.0, statistic="avg")
+
 
 @pytest.fixture
 def quick_config():

@@ -21,6 +21,11 @@ from repro.io import (
 from repro.ra import ExhaustiveAllocator, StageIEvaluator
 
 
+def _set_first_type_count(doc, count):
+    doc["system"]["types"][0]["count"] = count
+    return doc
+
+
 class TestPMFRoundtrip:
     def test_exact(self, simple_pmf):
         assert pmf_from_dict(pmf_to_dict(simple_pmf)) == simple_pmf
@@ -105,6 +110,28 @@ class TestInstanceFiles:
         doc["format_version"] = FORMAT_VERSION + 1
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelError):
+            load_instance(path)
+
+    @pytest.mark.parametrize(
+        ("mutate", "field"),
+        [
+            (lambda doc: [doc], "JSON object"),
+            (lambda doc: {k: v for k, v in doc.items() if k != "system"},
+             "'system'"),
+            (lambda doc: {**doc, "deadline": "soon"}, "'deadline'"),
+            (lambda doc: _set_first_type_count(doc, "four"), "'count'"),
+        ],
+        ids=["top-level-list", "no-system", "deadline-string", "count-string"],
+    )
+    def test_malformed_file_names_the_field(
+        self, tmp_path, paper_like_system, paper_like_batch, mutate, field
+    ):
+        path = save_instance(
+            tmp_path / "i.json", paper_like_system, paper_like_batch,
+            deadline=3250.0,
+        )
+        path.write_text(json.dumps(mutate(json.loads(path.read_text()))))
+        with pytest.raises(ModelError, match=field):
             load_instance(path)
 
     def test_loaded_instance_reproduces_stage_one(

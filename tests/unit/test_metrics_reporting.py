@@ -1,51 +1,13 @@
-"""Unit tests of metrics and reporting utilities."""
-
-import json
+"""Unit tests of the replication summary statistic and the reporting utilities."""
 
 import numpy as np
 import pytest
 
-from repro.metrics import (
-    cov_imbalance,
-    deadline_met,
-    idle_fraction,
-    max_mean_imbalance,
-    percent_degradation,
-    summary_statistic,
-    system_makespan,
-    violation_ratio,
-)
-from repro.reporting import (
-    render_table,
-    rows_to_dicts,
-    write_csv,
-    write_json,
-)
+from repro.framework import summary_statistic
+from repro.reporting import render_table, write_csv
 
 
 class TestMakespanMetrics:
-    def test_system_makespan(self):
-        assert system_makespan([1.0, 5.0, 3.0]) == 5.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            system_makespan([])
-
-    def test_deadline(self):
-        assert deadline_met(100.0, 100.0)
-        assert not deadline_met(100.1, 100.0)
-
-    def test_violation_ratio(self):
-        assert violation_ratio(3900.0, 3250.0) == pytest.approx(0.2, rel=1e-3)
-        assert violation_ratio(3250.0, 3250.0) == 0.0
-        with pytest.raises(ValueError):
-            violation_ratio(1.0, 0.0)
-
-    def test_percent_degradation(self):
-        assert percent_degradation(150.0, 100.0) == pytest.approx(50.0)
-        with pytest.raises(ValueError):
-            percent_degradation(1.0, 0.0)
-
     def test_summary_statistics(self):
         values = [1.0, 2.0, 3.0, 10.0]
         assert summary_statistic(values, "mean") == pytest.approx(4.0)
@@ -61,29 +23,6 @@ class TestMakespanMetrics:
             summary_statistic([], "mean")
         with pytest.raises(ValueError):
             summary_statistic([1.0], "mode")
-
-
-class TestImbalanceMetrics:
-    def test_balanced(self):
-        assert cov_imbalance([5.0, 5.0, 5.0]) == 0.0
-        assert max_mean_imbalance([5.0, 5.0]) == 1.0
-        assert idle_fraction([5.0, 5.0]) == 0.0
-
-    def test_imbalanced(self):
-        times = [1.0, 1.0, 4.0]
-        assert cov_imbalance(times) > 0.5
-        assert max_mean_imbalance(times) == pytest.approx(2.0)
-        assert idle_fraction(times) == pytest.approx(0.5)
-
-    def test_empty_rejected(self):
-        for fn in (cov_imbalance, max_mean_imbalance, idle_fraction):
-            with pytest.raises(ValueError):
-                fn([])
-
-    def test_zero_times(self):
-        assert cov_imbalance([0.0, 0.0]) == 0.0
-        assert max_mean_imbalance([0.0]) == 1.0
-        assert idle_fraction([0.0, 0.0]) == 0.0
 
 
 class TestRenderTable:
@@ -123,16 +62,6 @@ class TestExport:
     def test_csv_row_mismatch(self, tmp_path):
         with pytest.raises(ValueError):
             write_csv(tmp_path / "t.csv", ["a", "b"], [[1]])
-
-    def test_json_with_numpy(self, tmp_path):
-        path = write_json(
-            tmp_path / "t.json", {"x": np.float64(1.5), "y": [np.int64(2)]}
-        )
-        data = json.loads(path.read_text())
-        assert data == {"x": 1.5, "y": [2]}
-
-    def test_rows_to_dicts(self):
-        assert rows_to_dicts(["a", "b"], [[1, 2]]) == [{"a": 1, "b": 2}]
 
     def test_nested_dirs_created(self, tmp_path):
         path = write_csv(tmp_path / "deep" / "dir" / "t.csv", ["a"], [[1]])

@@ -1,24 +1,10 @@
-"""Unit tests for FAC-P, trace serialization, and the report builder."""
+"""Unit tests for FAC-P (probabilistic factoring)."""
 
 import numpy as np
 import pytest
 
 from repro.dls import ProbabilisticFactoring, WorkerState, make_technique
-from repro.errors import ModelError, SchedulingError
-from repro.framework import (
-    Scenario,
-    format_full_report,
-    format_stage_i,
-    format_stage_ii,
-    run_scenario,
-)
-from repro.system import (
-    TraceAvailability,
-    load_traces,
-    save_traces,
-    trace_from_dict,
-    trace_to_dict,
-)
+from repro.errors import SchedulingError
 
 
 def make_workers(n):
@@ -76,65 +62,3 @@ class TestProbabilisticFactoring:
     def test_validation(self):
         with pytest.raises(SchedulingError):
             ProbabilisticFactoring(prior_cv=-0.1)
-
-
-class TestTraceSerialization:
-    def test_roundtrip_dict(self):
-        trace = TraceAvailability(((10.0, 0.5), (5.0, 1.0)))
-        assert trace_from_dict(trace_to_dict(trace)) == trace
-
-    def test_malformed_payload(self):
-        with pytest.raises(ModelError):
-            trace_from_dict({"segments": [{"duration": 1.0}]})
-        with pytest.raises(ModelError):
-            trace_from_dict({})
-
-    def test_roundtrip_file(self, tmp_path):
-        traces = {
-            "p0": TraceAvailability(((10.0, 0.5),)),
-            "p1": TraceAvailability(((3.0, 1.0), (2.0, 0.25))),
-        }
-        path = save_traces(tmp_path / "traces.json", traces)
-        loaded = load_traces(path)
-        assert loaded == traces
-
-    def test_replay_after_roundtrip(self, tmp_path):
-        trace = TraceAvailability(((7.0, 0.4), (3.0, 0.9)))
-        path = save_traces(tmp_path / "t.json", {"x": trace})
-        replay = load_traces(path)["x"].spawn()
-        assert replay.level_at(5.0) == 0.4
-        assert replay.level_at(8.0) == 0.9
-
-
-class TestReports:
-    @pytest.fixture(scope="class")
-    def result(self):
-        from repro.paper import paper_cases, paper_cdsf
-
-        return run_scenario(
-            Scenario.ROBUST_IM_ROBUST_RAS,
-            paper_cdsf(replications=2, seed=1),
-            {"case1": paper_cases()["case1"]},
-        )
-
-    def test_stage_i_contents(self, result):
-        text = format_stage_i(result)
-        assert "phi_1" in text
-        assert "app3" in text
-        assert "74." in text
-
-    def test_stage_ii_table(self, result):
-        text = format_stage_ii(result)
-        assert "Delta" in text
-        assert "FAC" in text
-
-    def test_stage_ii_chart(self, result):
-        text = format_stage_ii(result, chart=True)
-        assert "█" in text
-
-    def test_full_report(self, result):
-        text = format_full_report(result)
-        assert "Stage I" in text
-        assert "Stage II" in text
-        assert "Best deadline-meeting" in text
-        assert "rho1" in text

@@ -11,7 +11,6 @@ import pytest
 
 import repro.obs as obs
 from repro.errors import ObservabilityError
-from repro.framework import format_observability
 from repro.obs import (
     Counter,
     Gauge,
@@ -22,6 +21,7 @@ from repro.obs import (
     Tracer,
     configure_logging,
     console,
+    format_observability,
     read_trace,
 )
 

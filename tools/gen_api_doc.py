@@ -27,7 +27,6 @@ MODULES = [
     "repro.exec",
     "repro.framework",
     "repro.paper",
-    "repro.metrics",
     "repro.reporting",
     "repro.obs",
     "repro.obs.schema",
