@@ -95,6 +95,75 @@ class TestInvariantsAllTechniques:
             session.record(99, 1, np.array([1.0]))
 
 
+def skewed_feed(w, size):
+    """Per-iteration times that differ by worker, so adaptive rules react."""
+    return np.full(size, 1.0 + 0.5 * w)
+
+
+class TestRecoveryAllTechniques:
+    """The fault-recovery hooks need no per-technique support (base.py).
+
+    ``requeue`` and ``retire`` are generic; these tests hold every
+    technique's chunk rule to that claim, the way the simulator drives it
+    when a worker crashes mid-chunk.
+    """
+
+    @pytest.mark.parametrize("name", sorted(ALL_TECHNIQUES))
+    def test_requeued_chunk_is_redispatched(self, name):
+        session = make_technique(name).session(1000, make_workers(4))
+        lost = session.next_chunk(0)
+        session.requeue(lost)
+        assert session.remaining == 1000
+        chunks = drain(session, 4, feed=skewed_feed)
+        assert total(chunks) == 1000
+        assert session.remaining == 0
+
+    @pytest.mark.parametrize("name", sorted(ALL_TECHNIQUES))
+    def test_survivors_finish_after_mid_loop_crash(self, name):
+        session = make_technique(name).session(1000, make_workers(4))
+        lost = session.next_chunk(0)  # in flight when worker 0 crashes
+        completed = 0
+        for w in (1, 2, 3):
+            size = session.next_chunk(w)
+            session.record(w, size, skewed_feed(w, size))
+            completed += size
+        session.requeue(lost)
+        session.retire(0)
+        survivors = [1, 2, 3]
+        done = set()
+        while len(done) < len(survivors):
+            for w in survivors:
+                if w in done:
+                    continue
+                size = session.next_chunk(w)
+                if size == 0:
+                    done.add(w)
+                    continue
+                session.record(w, size, skewed_feed(w, size))
+                completed += size
+        assert completed == 1000
+        assert session.retired == frozenset({0})
+
+    @pytest.mark.parametrize("name", sorted(ALL_TECHNIQUES))
+    def test_heterogeneous_powers_drain(self, name):
+        session = make_technique(name).session(
+            1000, make_workers(4, powers=[1.0, 2.0, 0.5, 4.0])
+        )
+        chunks = drain(session, 4, feed=skewed_feed)
+        assert total(chunks) == 1000
+        assert all(size >= 1 for _, size in chunks)
+
+    @pytest.mark.parametrize("name", sorted(ALL_TECHNIQUES))
+    def test_same_measurements_same_chunks(self, name):
+        def run():
+            session = make_technique(name).session(
+                1000, make_workers(4, powers=[1.0, 2.0, 0.5, 4.0])
+            )
+            return drain(session, 4, feed=skewed_feed)
+
+        assert run() == run()
+
+
 class TestStatic:
     def test_equal_chunks(self):
         session = Static().session(100, make_workers(4))

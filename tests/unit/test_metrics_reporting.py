@@ -1,13 +1,41 @@
-"""Unit tests of the replication summary statistic and the reporting utilities."""
+"""Unit tests of the makespan and imbalance metrics and the reporting utilities."""
 
 import numpy as np
 import pytest
 
 from repro.framework import summary_statistic
 from repro.reporting import render_table, write_csv
+from repro.sim import AppRunResult, BatchRunResult
+from repro.sim.results import finish_time_cv
+
+
+def _app(name, makespan):
+    return AppRunResult(
+        app_name=name, technique="FAC", group_type="t", group_size=1,
+        serial_time=0.0, makespan=makespan, chunks=(),
+        worker_finish_times={0: makespan}, iterations_executed=0,
+    )
+
+
+def _batch(*makespans, deadline=None):
+    return BatchRunResult(
+        app_results={f"app{i}": _app(f"app{i}", m) for i, m in enumerate(makespans)},
+        deadline=deadline,
+    )
 
 
 class TestMakespanMetrics:
+    def test_system_makespan(self):
+        assert _batch(1.0, 5.0, 3.0).makespan == 5.0
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            _batch().makespan
+
+    def test_deadline(self):
+        assert _batch(100.0, deadline=100.0).meets_deadline()
+        assert not _batch(100.1, deadline=100.0).meets_deadline()
+
     def test_summary_statistics(self):
         values = [1.0, 2.0, 3.0, 10.0]
         assert summary_statistic(values, "mean") == pytest.approx(4.0)
@@ -23,6 +51,18 @@ class TestMakespanMetrics:
             summary_statistic([], "mean")
         with pytest.raises(ValueError):
             summary_statistic([1.0], "mode")
+
+
+class TestImbalanceMetrics:
+    def test_balanced(self):
+        assert finish_time_cv([5.0, 5.0, 5.0]) == 0.0
+
+    def test_imbalanced(self):
+        # mean 2, population std sqrt(2): sigma/mu = sqrt(2)/2
+        assert finish_time_cv([1.0, 1.0, 4.0]) == pytest.approx(np.sqrt(2.0) / 2.0)
+
+    def test_zero_times(self):
+        assert finish_time_cv([0.0, 0.0]) == 0.0
 
 
 class TestRenderTable:

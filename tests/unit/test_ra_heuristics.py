@@ -5,10 +5,13 @@ optimal allocations and phi_1 values, so every heuristic can be validated
 against ground truth.
 """
 
+import inspect
+
 import pytest
 
 from repro.apps import Application, Batch, normal_exectime_model
 from repro.errors import InfeasibleAllocationError
+from repro.pmf import percent_availability
 from repro.ra import (
     AnnealingAllocator,
     EqualShareAllocator,
@@ -196,3 +199,65 @@ class TestRegistry:
         for name, cls in HEURISTICS.items():
             result = cls().allocate(evaluator)
             assert result.heuristic == name
+
+
+def three_type_evaluator():
+    """Three processor types, four applications: the heuristics disagree here."""
+    types = {
+        "cpu": (2, [(100, 100)]),
+        "gpu": (4, [(50, 40), (100, 60)]),
+        "edge": (8, [(25, 30), (60, 30), (90, 40)]),
+    }
+    apps = {  # n_serial, n_parallel, mean time on cpu/gpu/edge
+        "solver": (100, 2048, (3000.0, 1500.0, 6000.0)),
+        "mesh": (300, 1024, (1200.0, 2500.0, 2000.0)),
+        "fft": (50, 4096, (5000.0, 2000.0, 7000.0)),
+        "io": (400, 512, (800.0, 900.0, 1000.0)),
+    }
+    system = HeterogeneousSystem(
+        ProcessorType(name, count, availability=percent_availability(pulses))
+        for name, (count, pulses) in types.items()
+    )
+    batch = Batch(
+        Application(name, serial, parallel, normal_exectime_model(dict(zip(types, means))))
+        for name, (serial, parallel, means) in apps.items()
+    )
+    return StageIEvaluator(batch, system, 2000.0)
+
+
+def make_heuristic(name):
+    cls = HEURISTICS[name]
+    # Seed the randomized heuristics so each run is reproducible.
+    seeded = "rng" in inspect.signature(cls).parameters
+    return cls(rng=7) if seeded else cls()
+
+
+class TestEveryHeuristic:
+    """The RAHeuristic contract, for every registered heuristic."""
+
+    @pytest.fixture(params=["paper", "three-type"])
+    def instance(self, request, evaluator):
+        return evaluator if request.param == "paper" else three_type_evaluator()
+
+    @pytest.mark.parametrize("name", sorted(HEURISTICS))
+    def test_allocation_fits_the_system(self, name, instance):
+        allocation = make_heuristic(name).allocate(instance).allocation
+        assert sorted(allocation.app_names) == sorted(instance.batch.names)
+        for _, group in allocation.items():
+            assert group.size >= 1
+        for type_name, used in allocation.usage().items():
+            assert used <= instance.system.type(type_name).count
+
+    @pytest.mark.parametrize("name", sorted(HEURISTICS))
+    def test_reported_robustness_is_phi1(self, name, instance):
+        result = make_heuristic(name).allocate(instance)
+        assert result.robustness == pytest.approx(
+            instance.robustness(result.allocation), abs=1e-12
+        )
+        assert result.heuristic == name
+        assert result.evaluations >= 1
+
+    @pytest.mark.parametrize("name", sorted(HEURISTICS))
+    def test_never_beats_the_exhaustive_optimum(self, name, instance):
+        optimum = ExhaustiveAllocator().allocate(instance).robustness
+        assert make_heuristic(name).allocate(instance).robustness <= optimum + 1e-12

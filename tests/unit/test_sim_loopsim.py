@@ -211,6 +211,57 @@ class TestReplication:
         assert ten.makespans[:5] == five.makespans
 
 
+class TestEveryTechnique:
+    """Record invariants of the loop simulator under every DLS technique.
+
+    ``tiny_app`` (1-unit iterations, no noise) on four workers whose
+    constant availabilities differ, with a per-chunk overhead, so every
+    chunk's timing is known in closed form.
+    """
+
+    LEVELS = (1.0, 0.5, 0.5, 0.25)
+    OVERHEAD = 0.5
+
+    @pytest.fixture(params=sorted(ALL_TECHNIQUES))
+    def result(self, request, tiny_app, group):
+        return simulate_application(
+            tiny_app, group, make_technique(request.param), seed=1,
+            config=LoopSimConfig(overhead=self.OVERHEAD),
+            availability=[ConstantAvailability(level) for level in self.LEVELS],
+        )
+
+    @staticmethod
+    def by_worker(result):
+        chunks = {}
+        for c in result.chunks:
+            chunks.setdefault(c.worker_id, []).append(c)
+        return chunks
+
+    def test_chunks_on_a_worker_never_overlap(self, result):
+        for chunks in self.by_worker(result).values():
+            assert chunks[0].request_time >= result.serial_time
+            for prev, nxt in zip(chunks, chunks[1:]):
+                assert nxt.request_time >= prev.finish_time
+
+    def test_worker_finish_time_is_its_last_chunk(self, result):
+        for wid, chunks in self.by_worker(result).items():
+            assert result.worker_finish_times[wid] == pytest.approx(
+                max(c.finish_time for c in chunks)
+            )
+
+    def test_chunk_time_is_work_over_availability(self, result):
+        for c in result.chunks:
+            assert c.start_time == pytest.approx(c.request_time + self.OVERHEAD)
+            assert c.elapsed == pytest.approx(c.size / self.LEVELS[c.worker_id])
+
+    def test_no_worker_idles_while_work_remains(self, result):
+        # Self-scheduling keeps every worker busy until the last dispatch,
+        # so that dispatch comes no later than the busy time spread evenly.
+        busy = sum(c.elapsed + self.OVERHEAD for c in result.chunks)
+        last_dispatch = max(c.request_time for c in result.chunks)
+        assert last_dispatch <= result.serial_time + busy / len(self.LEVELS) + 1e-9
+
+
 class TestConfigValidation:
     def test_bad_overhead(self):
         with pytest.raises(SimulationError):
