@@ -48,9 +48,8 @@ class Finding:
     """One invariant violation at a source location.
 
     ``pkgpath`` is the location inside the ``repro`` package — stable
-    across scan roots, which is what baseline files match on (display
-    ``path`` changes with the working directory, line numbers change
-    with every edit).
+    across scan roots, unlike the display ``path``, which changes with
+    the working directory.
     """
 
     path: str

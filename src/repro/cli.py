@@ -23,10 +23,8 @@ Run store and analysis (``REPRO_RUN_DIR`` is the flagless equivalent)::
     python -m repro report runs/<id> --chrome-trace t.json
     python -m repro compare runs/<idA> runs/<idB>
 
-Profiling (``REPRO_PROF`` is the flagless equivalent; see
-``docs/profiling.md``)::
-
-    python -m repro --profile --run-dir runs/ scenario 4  # profile.json
+``repro report`` lists the run's top spans by self-time; see
+``docs/profiling.md`` for finer-grained profiling.
 
 All deliverable output goes to stdout through :func:`repro.obs.console`;
 diagnostics go to the ``repro`` logger on stderr.
@@ -39,7 +37,7 @@ import json
 import math
 import os
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from pathlib import Path
 
 from .dls import ALL_TECHNIQUES
@@ -47,13 +45,10 @@ from .errors import ExecutionError, ObservabilityError
 from .exec import ExecutionBackend, default_workers, get_backend, parse_workers
 from .framework import Scenario, run_scenario
 from .obs import (
-    ENV_PROF,
     ENV_RUN_DIR,
     Observation,
-    Profile,
     RunRecorder,
     RunStore,
-    SamplingProfiler,
     configure_logging,
     console,
     current,
@@ -62,16 +57,12 @@ from .obs import (
     metrics_snapshot,
     obs_enabled,
     observed,
-    profile_from_spans,
-    profiling_env_interval,
     recording,
     render_run_comparison,
     render_run_report,
     resolve_run,
-    speedscope_document,
     write_chrome_trace,
 )
-from .obs.prof import DEFAULT_SAMPLING_INTERVAL
 from .paper import (
     data,
     figure_series,
@@ -124,13 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="record this invocation as a run directory under DIR "
         "(manifest, trace, metrics, result tables; default: "
         f"${ENV_RUN_DIR}); past runs feed 'report' and 'compare'",
-    )
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="profile the run: span self-times plus a sampling profiler, "
-        "exported as speedscope JSON (profile.json inside --run-dir, "
-        f"else repro-profile.json; ${ENV_PROF}=1 or an interval in "
-        "seconds is the flagless equivalent)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -194,15 +178,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _positive_int(text: str) -> int:
-    """argparse ``type=``: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    """argparse ``type=``: an integer >= ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}"
+            ) from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}"
+            )
+        return value
+
+    return parse
 
 
 def _positive_float(text: str) -> float:
@@ -219,8 +211,8 @@ def _positive_float(text: str) -> float:
 
 
 def _sim_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--replications", type=_positive_int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--replications", type=_int_at_least(1), default=None)
+    parser.add_argument("--seed", type=_int_at_least(0), default=None)
     parser.add_argument(
         "--statistic", default="mean", choices=["mean", "median", "max", "p90"]
     )
@@ -655,72 +647,9 @@ _ANALYSIS_COMMANDS = {
 }
 
 
-def _profiling_interval(args) -> float | None:
-    """The sampling interval, or None when profiling is off.
-
-    ``--profile`` uses the default interval; ``REPRO_PROF`` (truthy flag
-    or a float interval in seconds) is the flagless equivalent and also
-    selects the interval when both are given.
-    """
-    env = profiling_env_interval(os.environ.get(ENV_PROF))
-    if env is not None:
-        return env
-    return DEFAULT_SAMPLING_INTERVAL if args.profile else None
-
-
-def _emit_profile(session: Observation, sampled: Profile | None) -> None:
-    """Bundle the span profile (+ samples) and hand it to the recorder.
-
-    Without an active recorder the document lands in the working
-    directory as ``repro-profile.json`` — profiling must not silently
-    require ``--run-dir``.
-    """
-    profiles = [profile_from_spans(session.tracer.records())]
-    if sampled is not None:
-        profiles.append(sampled)
-    document = speedscope_document(profiles)
-    recorder = current_recorder()
-    if recorder is not None:
-        recorder.record_profile(document)
-        return
-    path = Path("repro-profile.json")
-    path.write_text(
-        json.dumps(document, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    console(
-        f"wrote profile to {path} — load it at https://www.speedscope.app"
-    )
-
-
-def _dispatch_profiled(
-    args, backend: ExecutionBackend, session: Observation,
-    interval: float | None,
-) -> int:
-    """Dispatch, sampling the main thread and exporting the profile."""
-    if interval is None:
-        return _dispatch(args, backend)
-    sampler = SamplingProfiler(interval).start()
-    code = 1
-    try:
-        code = _dispatch(args, backend)
-    finally:
-        # Export even when the command raised: a crashed run's profile
-        # shows where it was stuck.
-        _emit_profile(session, sampler.stop())
-    return code
-
-
-def _run(
-    args, workers: int, interval: float | None,
-    recorder: RunRecorder | None = None,
-) -> int:
+def _run(args, workers: int, recorder: RunRecorder | None = None) -> int:
     """Dispatch one command, optionally observed/recorded."""
-    observe = bool(
-        args.trace
-        or args.metrics
-        or recorder is not None
-        or interval is not None
-    )
+    observe = bool(args.trace or args.metrics or recorder is not None)
     with get_backend(workers) as backend:
         if not observe:
             return _dispatch(args, backend)
@@ -733,16 +662,14 @@ def _run(
                 # two sessions.
                 session = current()
                 assert session is not None
-                code = _dispatch_profiled(args, backend, session, interval)
+                code = _dispatch(args, backend)
                 _finish_observed(args)
                 if args.trace:
                     session.export(args.trace)
                     console(f"wrote trace to {args.trace}")
             else:
                 with observed(trace_path=args.trace) as session:
-                    code = _dispatch_profiled(
-                        args, backend, session, interval
-                    )
+                    code = _dispatch(args, backend)
                     _finish_observed(args)
                 if args.trace:
                     console(f"wrote trace to {args.trace}")
@@ -767,22 +694,22 @@ def main(argv: Sequence[str] | None = None) -> int:
             console(f"error: {exc}")
             return 2
     # Resolve the settings that can be malformed before the recorder
-    # creates the run directory, so a bad value leaves no orphan behind.
+    # creates the run directory, so a bad value leaves no orphan behind;
+    # a run-store path that cannot hold run directories is a usage error.
     try:
         workers = (
             default_workers()
             if args.workers is None
             else parse_workers(args.workers, source="--workers")
         )
-        interval = _profiling_interval(args)
+        recorder = _make_recorder(args, argv)
     except (ExecutionError, ObservabilityError) as exc:
         console(f"error: {exc}")
         return 2
-    recorder = _make_recorder(args, argv)
     if recorder is None:
-        return _run(args, workers, interval)
+        return _run(args, workers)
     with recording(recorder):
-        return _run(args, workers, interval, recorder)
+        return _run(args, workers, recorder)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -83,6 +83,8 @@ class StudyConfig:
             raise ModelError(
                 f"replications must be >= 1, got {self.replications}"
             )
+        if self.seed is not None and self.seed < 0:
+            raise ModelError(f"seed must be >= 0, got {self.seed}")
         if self.statistic not in _STATISTICS:
             raise ModelError(
                 f"statistic must be one of {', '.join(_STATISTICS)}, "

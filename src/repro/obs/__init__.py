@@ -1,4 +1,4 @@
-"""repro.obs — tracing, metrics, and profiling for the dual-stage pipeline.
+"""repro.obs — tracing, metrics, and run records for the dual-stage pipeline.
 
 The CDSF pipeline is instrumented end to end — stage-I RA search, the
 PMF algebra underneath it, the stage-II DLS simulation grid, and the
@@ -53,21 +53,12 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
 )
-from .prof import (
-    ENV_PROF,
-    PROFILE_SCHEMA_URL,
-    Profile,
-    SamplingProfiler,
-    SpanAggregate,
-    profile_from_spans,
-    profiling_env_interval,
-    span_self_times,
-    speedscope_document,
-)
 from .report import (
+    SpanAggregate,
     format_observability,
     render_run_comparison,
     render_run_report,
+    span_self_times,
 )
 from .runs import (
     ENV_RUN_DIR,
@@ -105,11 +96,9 @@ from .timeline import (
 
 __all__ = [
     "ENV_FLAG",
-    "ENV_PROF",
     "ENV_RUN_DIR",
     "ENV_TRACE",
     "LOGGER_NAME",
-    "PROFILE_SCHEMA_URL",
     "TRACE_SCHEMA_VERSION",
     "DEFAULT_BUCKET_BOUNDS",
     "AppTimeline",
@@ -123,11 +112,9 @@ __all__ = [
     "NullSpan",
     "NULL_SPAN",
     "Observation",
-    "Profile",
     "RunRecord",
     "RunRecorder",
     "RunStore",
-    "SamplingProfiler",
     "Span",
     "SpanAggregate",
     "SpanHandle",
@@ -154,8 +141,6 @@ __all__ = [
     "obs_enabled",
     "observe_value",
     "observed",
-    "profile_from_spans",
-    "profiling_env_interval",
     "read_trace",
     "recording",
     "render_run_comparison",
@@ -164,7 +149,6 @@ __all__ = [
     "schema",
     "span",
     "span_self_times",
-    "speedscope_document",
     "start",
     "stop",
     "timeline_from_result",

@@ -6,17 +6,19 @@ statistics, top spans by self-time, fault summary) and ``repro compare
 <runA> <runB>`` diffs two runs (metric deltas, per-technique makespan
 changes, :class:`~repro.framework.robustness.FaultImpact`-style rho
 drops). Both return plain markdown strings — the CLI prints them, the CI
-smoke job uploads them as artifacts. :func:`format_observability` renders
-the ``--metrics`` summary of a live session's metrics snapshot.
+smoke job uploads them as artifacts. :func:`span_self_times` folds a
+trace's spans into per-name self-times for the report's "Top spans by
+self-time" section. :func:`format_observability` renders the
+``--metrics`` summary of a live session's metrics snapshot.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
+from dataclasses import dataclass
 from typing import Any
 
 from ..reporting.tables import render_markdown_table, render_table
-from .prof import SpanAggregate, span_self_times
 from .runs import RunRecord
 from .timeline import AppTimeline, timelines_from_records
 
@@ -29,16 +31,93 @@ __all__ = [
 ]
 
 
+# ---------------------------------------------------------- span self times
+
+
+@dataclass(frozen=True)
+class SpanAggregate:
+    """All spans of one name folded together (profile-style)."""
+
+    name: str
+    count: int
+    total: float  # wall-clock seconds, summed over instances
+    self_time: float  # total minus time attributed to direct children
+
+    @property
+    def mean(self) -> float:
+        return self.total / self.count if self.count else 0.0
+
+
+def _closed_spans(
+    records: Sequence[Mapping[str, object]],
+) -> tuple[dict[object, float], dict[object, str], dict[object, object]]:
+    """Durations, names, and parents of every closed span record."""
+    durations: dict[object, float] = {}
+    names: dict[object, str] = {}
+    parents: dict[object, object] = {}
+    for record in records:
+        if record.get("type") != "span":
+            continue
+        duration = record.get("duration")
+        if not isinstance(duration, (int, float)):
+            continue
+        span_id = record.get("id")
+        durations[span_id] = float(duration)
+        names[span_id] = str(record.get("name"))
+        parents[span_id] = record.get("parent")
+    return durations, names, parents
+
+
+def _self_times(
+    durations: Mapping[object, float], parents: Mapping[object, object]
+) -> dict[object, float]:
+    """Per-span self time: duration minus direct children's durations."""
+    child_time: dict[object, float] = {}
+    for span_id, duration in durations.items():
+        parent = parents.get(span_id)
+        if parent in durations:
+            child_time[parent] = child_time.get(parent, 0.0) + duration
+    return {
+        span_id: max(0.0, duration - child_time.get(span_id, 0.0))
+        for span_id, duration in durations.items()
+    }
+
+
+def span_self_times(
+    records: Sequence[Mapping[str, object]],
+) -> list[SpanAggregate]:
+    """Aggregate span records by name, most self-time first.
+
+    Self-time of a span is its duration minus the summed durations of
+    its *direct* children — the classic profile decomposition, so the
+    self-time column sums (approximately) to the root span's duration.
+    Open spans (no ``end``) are skipped. Adopted worker spans participate
+    like any other: their parent links survive
+    :meth:`~repro.obs.spans.Tracer.adopt_records`, so a worker-side
+    subtree subtracts from its graft parent exactly once.
+    """
+    durations, names, parents = _closed_spans(records)
+    selfs = _self_times(durations, parents)
+    totals: dict[str, SpanAggregate] = {}
+    for span_id, duration in durations.items():
+        name = names[span_id]
+        prev = totals.get(name)
+        if prev is None:
+            totals[name] = SpanAggregate(name, 1, duration, selfs[span_id])
+        else:
+            totals[name] = SpanAggregate(
+                name,
+                prev.count + 1,
+                prev.total + duration,
+                prev.self_time + selfs[span_id],
+            )
+    return sorted(totals.values(), key=lambda a: (-a.self_time, a.name))
+
+
 # ----------------------------------------------------------- report pieces
 
-
-def _md_table(
-    headers: Sequence[str],
-    rows: Sequence[Sequence[object]],
-    *,
-    floatfmt: str = ".4g",
-) -> str:
-    return render_markdown_table(headers, rows, floatfmt=floatfmt)
+#: Float format of every markdown table in a report or comparison.
+_FLOATFMT = ".4g"
 
 
 _MANIFEST_FIELDS = (
@@ -70,7 +149,7 @@ def _config_section(run: RunRecord) -> str:
             rows.append((key, _manifest_cell(run.manifest[key])))
     if not rows:
         return "_(empty manifest)_"
-    return _md_table(["field", "value"], rows)
+    return render_markdown_table(["field", "value"], rows, floatfmt=_FLOATFMT)
 
 
 def _technique_rows(
@@ -116,9 +195,10 @@ def _results_section(run: RunRecord) -> list[str]:
         cells = payload.get("cells")
         if isinstance(cells, list) and cells:
             parts.append(
-                _md_table(
+                render_markdown_table(
                     ["technique", "mean time", "worst time", "meets deadline"],
                     _technique_rows(cells),
+                    floatfmt=_FLOATFMT,
                 )
             )
         impact = payload.get("fault_impact")
@@ -156,7 +236,7 @@ def _timeline_section(timelines: Sequence[AppTimeline]) -> str:
                 sum(s.requeued for s in stats),
             )
         )
-    return _md_table(
+    return render_markdown_table(
         [
             "technique",
             "runs",
@@ -168,6 +248,7 @@ def _timeline_section(timelines: Sequence[AppTimeline]) -> str:
             "requeued it.",
         ],
         rows,
+        floatfmt=_FLOATFMT,
     )
 
 
@@ -181,7 +262,9 @@ def _spans_section(
         (a.name, a.count, a.total, a.self_time)
         for a in aggregates[:top]
     ]
-    return _md_table(["span", "count", "total s", "self s"], rows)
+    return render_markdown_table(
+        ["span", "count", "total s", "self s"], rows, floatfmt=_FLOATFMT
+    )
 
 
 def _fault_section(
@@ -283,7 +366,7 @@ def render_run_comparison(
     """
     parts: list[str] = [
         f"# repro compare `{a.run_id}` vs `{b.run_id}`",
-        _md_table(
+        render_markdown_table(
             ["field", f"A: {a.run_id}", f"B: {b.run_id}"],
             [
                 (
@@ -294,6 +377,7 @@ def render_run_comparison(
                 for key in _MANIFEST_FIELDS
                 if key in a.manifest or key in b.manifest
             ],
+            floatfmt=_FLOATFMT,
         ),
     ]
     times_a = _mean_times_by_technique(a)
@@ -313,7 +397,10 @@ def render_run_comparison(
             )
         parts.append("## Per-technique mean execution time")
         parts.append(
-            _md_table(["technique", "A", "B", "delta (B - A)"], rows)
+            render_markdown_table(
+                ["technique", "A", "B", "delta (B - A)"], rows,
+                floatfmt=_FLOATFMT,
+            )
         )
     rob_a, rob_b = _run_robustness(a), _run_robustness(b)
     if rob_a is not None and rob_b is not None:
@@ -327,13 +414,14 @@ def render_run_comparison(
         )
         parts.append("## Robustness")
         parts.append(
-            _md_table(
+            render_markdown_table(
                 ["", "rho1", "rho2 %"],
                 [
                     ("A (baseline)", impact.baseline.rho1, impact.baseline.rho2),
                     ("B", impact.faulty.rho1, impact.faulty.rho2),
                     ("drop (A - B)", impact.rho1_drop, impact.rho2_drop),
                 ],
+                floatfmt=_FLOATFMT,
             )
         )
     counters_a, counters_b = _counters(a), _counters(b)
@@ -350,7 +438,7 @@ def render_run_comparison(
         deltas.sort(key=lambda row: (-abs(row[3]), row[0]))
         parts.append("## Largest counter deltas")
         parts.append(
-            _md_table(
+            render_markdown_table(
                 ["counter", "A", "B", "delta"],
                 deltas[:top_counters],
                 floatfmt=".0f",

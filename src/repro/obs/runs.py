@@ -64,7 +64,6 @@ MANIFEST_SCHEMA_VERSION = 1
 _MANIFEST = "manifest.json"
 _TRACE = "trace.jsonl"
 _METRICS = "metrics.json"
-_PROFILE = "profile.json"
 _RESULTS_DIR = "results"
 
 
@@ -84,7 +83,14 @@ class RunRecorder:
         argv: list[str] | None = None,
     ) -> None:
         base = Path(base_dir)
-        base.mkdir(parents=True, exist_ok=True)
+        try:
+            base.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            # The base comes from --run-dir / $REPRO_RUN_DIR, e.g. a
+            # path naming an existing file: a usage error, not a crash.
+            raise ObservabilityError(
+                f"cannot create run store {str(base)!r}: {exc.strerror}"
+            ) from None
         self._started_wall = time.time()
         self._started_perf = time.perf_counter()
         rid = run_id if run_id is not None else self._fresh_id(base)
@@ -105,7 +111,6 @@ class RunRecorder:
         if argv is not None:
             self.manifest["argv"] = list(argv)
         self._results: dict[str, object] = {}
-        self._profile: dict[str, object] | None = None
         self._finalized = False
 
     def _fresh_id(self, base: Path) -> str:
@@ -144,19 +149,6 @@ class RunRecorder:
             )
         self._results[name] = payload
 
-    def record_profile(self, document: dict[str, object]) -> None:
-        """Stage a speedscope profile document, written as ``profile.json``.
-
-        Produced by the CLI ``--profile`` flag (see
-        :func:`repro.obs.prof.speedscope_document`); the staged document
-        is written alongside the trace at :meth:`finalize`.
-        """
-        if self._finalized:
-            raise ObservabilityError(
-                f"run {self.run_id} already finalized; cannot record a profile"
-            )
-        self._profile = document
-
     def finalize(
         self,
         session: "Observation | None" = None,
@@ -183,12 +175,6 @@ class RunRecorder:
                 encoding="utf-8",
             )
             files.append(_METRICS)
-        if self._profile is not None:
-            (self.path / _PROFILE).write_text(
-                json.dumps(self._profile, sort_keys=True) + "\n",
-                encoding="utf-8",
-            )
-            files.append(_PROFILE)
         if self._results:
             results_dir = self.path / _RESULTS_DIR
             results_dir.mkdir(exist_ok=True)
@@ -235,10 +221,6 @@ class RunRecord:
     def metrics(self) -> dict[str, object]:
         """The metrics snapshot captured at finalize (empty if absent)."""
         return _read_json_object(self.path / _METRICS, required=False)
-
-    def profile(self) -> dict[str, object]:
-        """The speedscope profile document, if the run carried one."""
-        return _read_json_object(self.path / _PROFILE, required=False)
 
     def results(self) -> dict[str, object]:
         """Result tables by name, from ``results/*.json``."""

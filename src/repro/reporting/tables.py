@@ -20,6 +20,30 @@ def format_cell(value: object, *, floatfmt: str = ".2f") -> str:
     return str(value)
 
 
+def _format_rows(
+    headers: Sequence[str], rows: Iterable[Sequence[object]], floatfmt: str
+) -> tuple[list[list[str]], list[bool]]:
+    """Formatted cells of every row, plus which columns are numeric.
+
+    A column is numeric when there is at least one row and every cell in
+    it parses as a number. Raises ``ValueError`` on a row whose length
+    differs from the header count.
+    """
+    str_rows = [
+        [format_cell(cell, floatfmt=floatfmt) for cell in row] for row in rows
+    ]
+    for row in str_rows:
+        if len(row) != len(headers):
+            raise ValueError(
+                f"row has {len(row)} cells but there are {len(headers)} headers"
+            )
+    numeric = [
+        bool(str_rows) and all(_looks_numeric(row[col]) for row in str_rows)
+        for col in range(len(headers))
+    ]
+    return str_rows, numeric
+
+
 def render_table(
     headers: Sequence[str],
     rows: Iterable[Sequence[object]],
@@ -32,25 +56,11 @@ def render_table(
     Columns are sized to their widest cell; numeric cells are right-aligned,
     text cells left-aligned.
     """
-    str_rows = [
-        [format_cell(cell, floatfmt=floatfmt) for cell in row] for row in rows
-    ]
-    for row in str_rows:
-        if len(row) != len(headers):
-            raise ValueError(
-                f"row has {len(row)} cells but there are {len(headers)} headers"
-            )
+    str_rows, numeric = _format_rows(headers, rows, floatfmt)
     widths = [len(h) for h in headers]
     for row in str_rows:
         for i, cell in enumerate(row):
             widths[i] = max(widths[i], len(cell))
-
-    def is_numeric(col: int) -> bool:
-        return all(
-            _looks_numeric(row[col]) for row in str_rows
-        ) and bool(str_rows)
-
-    numeric = [is_numeric(i) for i in range(len(headers))]
 
     def fmt_row(cells: Sequence[str]) -> str:
         parts = []
@@ -85,30 +95,14 @@ def render_markdown_table(
     right-aligning separator (``---:``). Used by the ``repro report`` /
     ``repro compare`` markdown reports.
     """
-    str_rows = [
-        [format_cell(cell, floatfmt=floatfmt) for cell in row] for row in rows
-    ]
-    for row in str_rows:
-        if len(row) != len(headers):
-            raise ValueError(
-                f"row has {len(row)} cells but there are {len(headers)} headers"
-            )
-
-    def is_numeric(col: int) -> bool:
-        return all(
-            _looks_numeric(row[col]) for row in str_rows
-        ) and bool(str_rows)
+    str_rows, numeric = _format_rows(headers, rows, floatfmt)
 
     def escape(cell: str) -> str:
         return cell.replace("|", "\\|")
 
     lines = ["| " + " | ".join(escape(h) for h in headers) + " |"]
     lines.append(
-        "| "
-        + " | ".join(
-            "---:" if is_numeric(i) else "---" for i in range(len(headers))
-        )
-        + " |"
+        "| " + " | ".join("---:" if num else "---" for num in numeric) + " |"
     )
     for row in str_rows:
         lines.append("| " + " | ".join(escape(c) for c in row) + " |")

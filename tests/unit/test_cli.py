@@ -311,9 +311,8 @@ class TestRunStoreCommands:
         [
             (["--workers", "junk"], {}, "--workers"),
             ([], {"REPRO_WORKERS": "junk"}, "REPRO_WORKERS"),
-            ([], {"REPRO_PROF": "junk"}, "REPRO_PROF"),
         ],
-        ids=["--workers", "REPRO_WORKERS", "REPRO_PROF"],
+        ids=["--workers", "REPRO_WORKERS"],
     )
     def test_bad_setting_errors_before_recording(
         self, tmp_path, capsys, monkeypatch, flags, env, name
@@ -332,8 +331,9 @@ class TestRunStoreCommands:
         [
             (["--replications", "0"], "--replications"),
             (["--faults", "--fault-rate", "-1"], "--fault-rate"),
+            (["--seed", "-1"], "--seed"),
         ],
-        ids=["--replications", "--fault-rate"],
+        ids=["--replications", "--fault-rate", "--seed"],
     )
     def test_out_of_range_flag_rejected_at_parse_time(
         self, tmp_path, capsys, flags, name
@@ -345,52 +345,21 @@ class TestRunStoreCommands:
         assert f"argument {name}" in capsys.readouterr().err
         assert not base.exists(), "a rejected flag left a run directory"
 
-
-class TestProfileFlag:
-    _run = ["scenario", "1", "--replications", "1", "--seed", "1"]
-
-    def _profile_doc(self, base):
-        from repro.obs import RunStore
-
-        (run_id,) = RunStore(base).run_ids()
-        return RunStore(base).load(run_id).profile()
-
-    def test_profile_writes_speedscope_document(self, tmp_path, capsys):
-        from repro.obs import PROFILE_SCHEMA_URL
-
-        base = tmp_path / "runs"
-        assert main(
-            ["--profile", "--run-dir", str(base), *self._run]
-        ) == 0
-        doc = self._profile_doc(base)
-        assert doc["$schema"] == PROFILE_SCHEMA_URL
-        assert doc["shared"]["frames"]
-        names = [p["name"] for p in doc["profiles"]]
-        assert any("spans" in n for n in names)
-        assert any("sampled" in n for n in names)
-        span_profile = doc["profiles"][0]
-        assert span_profile["samples"] and span_profile["weights"]
-
-    def test_no_profile_without_flag(self, tmp_path, capsys):
-        base = tmp_path / "runs"
-        assert main(["--run-dir", str(base), *self._run]) == 0
-        assert self._profile_doc(base) == {}  # absent: empty like metrics()
-
-    def test_env_var_enables_profiling(self, tmp_path, capsys, monkeypatch):
-        from repro.obs import ENV_PROF
-
-        base = tmp_path / "runs"
-        monkeypatch.setenv(ENV_PROF, "0.002")
-        assert main(["--run-dir", str(base), *self._run]) == 0
-        assert self._profile_doc(base).get("profiles")
-
-    def test_profile_without_run_dir_writes_file(
-        self, tmp_path, capsys, monkeypatch
+    @pytest.mark.parametrize(
+        "via_env", [False, True], ids=["--run-dir", "REPRO_RUN_DIR"]
+    )
+    def test_run_dir_naming_a_file_is_a_usage_error(
+        self, tmp_path, capsys, monkeypatch, via_env
     ):
-        import json
-
-        monkeypatch.chdir(tmp_path)
-        assert main(["--profile", *self._run]) == 0
-        assert "speedscope" in capsys.readouterr().out
-        doc = json.loads((tmp_path / "repro-profile.json").read_text())
-        assert doc["profiles"]
+        afile = tmp_path / "afile"
+        afile.write_text("not a directory\n")
+        if via_env:
+            monkeypatch.setenv("REPRO_RUN_DIR", str(afile))
+            argv = ["techniques"]
+        else:
+            argv = ["--run-dir", str(afile), "techniques"]
+        assert main(argv) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("error: ") and out.count("\n") == 1
+        assert str(afile) in out
+        assert afile.read_text() == "not a directory\n"

@@ -109,6 +109,11 @@ class TestStudyConfig:
         with pytest.raises(ModelError, match="statistic"):
             StudyConfig(deadline=3250.0, statistic="avg")
 
+    def test_negative_seed_rejected_at_construction(self):
+        with pytest.raises(ModelError, match="seed"):
+            StudyConfig(deadline=3250.0, seed=-1)
+        assert StudyConfig(deadline=3250.0, seed=0).seed == 0
+
 
 @pytest.fixture
 def quick_config():

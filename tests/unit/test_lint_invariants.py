@@ -7,14 +7,13 @@ real ``src`` tree asserting zero findings.
 
 from __future__ import annotations
 
-import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from repro._lint import known_ids, lint_sources, run_lint
+from repro._lint import all_rules, known_ids, lint_sources, run_lint
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC_DIR = REPO_ROOT / "src"
@@ -728,102 +727,32 @@ class TestUnusedSkips:
 # ------------------------------------------------------------ CLI interface
 
 
-def run_cli(*args, cwd=REPO_ROOT):
+def run_cli(*args):
     return subprocess.run(
         [
             sys.executable,
             str(REPO_ROOT / "tools" / "lint_invariants.py"),
             *args,
         ],
-        cwd=cwd,
+        cwd=REPO_ROOT,
         capture_output=True,
         text=True,
     )
 
 
-@pytest.fixture
-def bad_file(tmp_path):
-    bad = tmp_path / "repro" / "sim" / "bad.py"
-    bad.parent.mkdir(parents=True)
-    bad.write_text("def f(t):\n    return t == 1.0\n")
-    return bad
-
-
 class TestCliFormats:
-    def test_json_report(self, bad_file):
-        run = run_cli(
-            "--select", "FLT001", "--format", "json", str(bad_file)
-        )
-        assert run.returncode == 1
-        report = json.loads(run.stdout)
-        assert report["version"] == 1
-        (finding,) = report["findings"]
-        assert finding["rule"] == "FLT001"
-        assert finding["pkgpath"] == "sim/bad.py"
-        assert finding["line"] == 2
-
-    def test_sarif_report(self, bad_file, tmp_path):
-        out = tmp_path / "lint.sarif"
-        run = run_cli(
-            "--select", "FLT001",
-            "--format", "sarif",
-            "--output", str(out),
-            str(bad_file),
-        )
-        assert run.returncode == 1
-        sarif = json.loads(out.read_text())
-        assert sarif["version"] == "2.1.0"
-        (sarif_run,) = sarif["runs"]
-        rule_meta_ids = {
-            rule["id"] for rule in sarif_run["tool"]["driver"]["rules"]
-        }
-        assert {"FLT001", "EXEC101", "RNG101", "OBS101"} <= rule_meta_ids
-        (result,) = sarif_run["results"]
-        assert result["ruleId"] == "FLT001"
-        assert result["level"] == "error"
-        assert result["partialFingerprints"]["reproLintFinding/v1"]
-        region = result["locations"][0]["physicalLocation"]["region"]
-        assert region["startLine"] == 2
-
-    def test_list_rules_json(self):
-        run = run_cli("--list-rules", "--format", "json")
+    def test_list_rules(self):
+        run = run_cli("--list-rules")
         assert run.returncode == 0
-        rules = json.loads(run.stdout)
-        ids = [rule["id"] for rule in rules]
-        assert ids == sorted(ids)
-        assert {"EXEC101", "EXEC102", "RNG101", "OBS101", "OBS102", "OBS103",
-                "LNT001"} <= set(ids)
-        assert all(rule["title"] and rule["rationale"] for rule in rules)
+        for rule in all_rules().values():
+            assert rule.title and rule.rationale
+            assert "/".join(rule.emitted_ids()) in run.stdout
+            assert rule.title in run.stdout
 
     def test_unknown_select_exits_2(self):
         run = run_cli("--select", "NOPE999", "src")
         assert run.returncode == 2
         assert "known ids" in run.stderr
-
-    def test_baseline_roundtrip(self, bad_file, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        write = run_cli(
-            "--select", "FLT001",
-            "--baseline", str(baseline),
-            "--write-baseline",
-            str(bad_file),
-        )
-        assert write.returncode == 0, write.stderr
-        payload = json.loads(baseline.read_text())
-        assert payload["findings"][0]["rule"] == "FLT001"
-        # Baselined: the same finding no longer fails the run.
-        rerun = run_cli(
-            "--select", "FLT001", "--baseline", str(baseline), str(bad_file)
-        )
-        assert rerun.returncode == 0, rerun.stdout + rerun.stderr
-        # And without the baseline it still does.
-        bare = run_cli("--select", "FLT001", str(bad_file))
-        assert bare.returncode == 1
-
-    def test_write_baseline_requires_baseline_path(self, bad_file):
-        run = run_cli("--write-baseline", str(bad_file))
-        assert run.returncode == 2
-        assert "--baseline" in run.stderr
 
     def test_report_unused_skips_flag(self, tmp_path):
         stale = tmp_path / "repro" / "sim" / "stale.py"
@@ -832,19 +761,6 @@ class TestCliFormats:
         run = run_cli("--report-unused-skips", str(stale))
         assert run.returncode == 1
         assert "LNT001" in run.stdout
-
-    def test_changed_only_filters_unchanged_files(self, bad_file):
-        # bad_file lives outside the repo, so it is never in the diff;
-        # its finding is filtered out and the run passes.
-        run = run_cli(
-            "--changed-only", "--changed-base", "HEAD", str(bad_file)
-        )
-        assert run.returncode == 0, run.stdout + run.stderr
-
-    def test_changed_only_outside_git_exits_2(self, bad_file, tmp_path):
-        run = run_cli("--changed-only", str(bad_file), cwd=tmp_path)
-        assert run.returncode == 2
-        assert "git" in run.stderr
 
 
 # ----------------------------------------------------------- acceptance gate

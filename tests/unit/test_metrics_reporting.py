@@ -5,6 +5,7 @@ import pytest
 
 from repro.framework import summary_statistic
 from repro.reporting import render_table, write_csv
+from repro.reporting.tables import render_markdown_table
 from repro.sim import AppRunResult, BatchRunResult
 from repro.sim.results import finish_time_cv
 
@@ -88,6 +89,23 @@ class TestRenderTable:
     def test_bool_formatting(self):
         out = render_table(["ok"], [[True], [False]])
         assert "yes" in out and "no" in out
+
+    def test_markdown_numeric_column_right_aligned(self):
+        out = render_markdown_table(["name", "n"], [["a", 1.5], ["b", 10]])
+        assert out.splitlines() == [
+            "| name | n |",
+            "| --- | ---: |",
+            "| a | 1.50 |",
+            "| b | 10 |",
+        ]
+
+    def test_markdown_escapes_pipes(self):
+        out = render_markdown_table(["a|b"], [["x|y"]])
+        assert out.splitlines() == ["| a\\|b |", "| --- |", "| x\\|y |"]
+
+    def test_markdown_row_length_mismatch(self):
+        with pytest.raises(ValueError):
+            render_markdown_table(["a", "b"], [["only one"]])
 
 
 class TestExport:

@@ -6,210 +6,30 @@ Usage::
     python tools/lint_invariants.py src             # lint the library
     python tools/lint_invariants.py --list-rules    # show every rule
     python tools/lint_invariants.py --select RNG001,PMF001 src
-    python tools/lint_invariants.py --format sarif --output lint.sarif src
-    python tools/lint_invariants.py --baseline tools/lint_baseline.json src
-    python tools/lint_invariants.py --changed-only --changed-base origin/main
+    python tools/lint_invariants.py --report-unused-skips src   # CI gate
 
-Exits 0 when no unbaselined findings, 1 when any invariant is violated,
-2 on usage errors (unknown ``--select`` ids, unreadable baseline, git
-failure under ``--changed-only``). Suppress a single line with a
-``lint: skip=RULE`` hash-comment; audit stale suppressions with
-``--report-unused-skips``.
+Prints one ``path:line:col: RULE message`` line per finding. Exits 0
+when clean, 1 when any invariant is violated, 2 on usage errors
+(unknown ``--select`` ids, missing or unparsable paths). Suppress a
+single line with a ``lint: skip=RULE`` hash-comment; audit stale
+suppressions with ``--report-unused-skips``.
 
 The rules live in :mod:`repro._lint`; see CONTRIBUTING.md ("Static
 checks & invariants") for what each invariant means and how to add one.
-Whole-program rules (EXEC1xx/RNG1xx/OBS1xx) see every parsed module at
-once, so ``--changed-only`` still parses the full tree and only filters
-the *reported* findings to files changed since ``--changed-base``.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
-import subprocess
 import sys
 from pathlib import Path
-from typing import Any
 
 # Allow running from a source checkout without installation.
 _SRC = Path(__file__).resolve().parent.parent / "src"
 if _SRC.is_dir() and str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from repro._lint import Finding, all_rules, run_lint  # noqa: E402
-
-_SARIF_SCHEMA = "https://json.schemastore.org/sarif-2.1.0.json"
-_BASELINE_VERSION = 1
-
-
-def _rule_metadata() -> list[dict[str, Any]]:
-    rules: list[dict[str, Any]] = []
-    for rule in all_rules().values():
-        for rule_id in rule.emitted_ids():
-            rules.append(
-                {
-                    "id": rule_id,
-                    "title": rule.title,
-                    "rationale": rule.rationale,
-                }
-            )
-    rules.sort(key=lambda entry: entry["id"])
-    return rules
-
-
-def _finding_json(finding: Finding) -> dict[str, Any]:
-    return {
-        "rule": finding.rule,
-        "path": finding.path,
-        "pkgpath": finding.pkgpath,
-        "line": finding.line,
-        "col": finding.col,
-        "message": finding.message,
-    }
-
-
-def _fingerprint(finding: Finding) -> str:
-    key = f"{finding.rule}:{finding.pkgpath}:{finding.message}"
-    return hashlib.md5(key.encode("utf-8")).hexdigest()
-
-
-def _sarif_report(findings: list[Finding]) -> dict[str, Any]:
-    rules = [
-        {
-            "id": meta["id"],
-            "name": meta["id"],
-            "shortDescription": {"text": meta["title"]},
-            "fullDescription": {"text": meta["rationale"]},
-            "defaultConfiguration": {"level": "error"},
-        }
-        for meta in _rule_metadata()
-    ]
-    results = []
-    for finding in findings:
-        uri = Path(finding.path).as_posix()
-        results.append(
-            {
-                "ruleId": finding.rule,
-                "level": "error",
-                "message": {"text": finding.message},
-                "locations": [
-                    {
-                        "physicalLocation": {
-                            "artifactLocation": {"uri": uri},
-                            "region": {
-                                "startLine": finding.line,
-                                "startColumn": finding.col + 1,
-                            },
-                        }
-                    }
-                ],
-                "partialFingerprints": {
-                    "reproLintFinding/v1": _fingerprint(finding)
-                },
-            }
-        )
-    return {
-        "$schema": _SARIF_SCHEMA,
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "lint_invariants",
-                        "informationUri": (
-                            "https://example.invalid/cdsf-repro/CONTRIBUTING.md"
-                        ),
-                        "rules": rules,
-                    }
-                },
-                "results": results,
-            }
-        ],
-    }
-
-
-def _render(findings: list[Finding], fmt: str) -> str:
-    if fmt == "text":
-        return "\n".join(finding.render() for finding in findings)
-    if fmt == "json":
-        report = {
-            "version": 1,
-            "findings": [_finding_json(finding) for finding in findings],
-        }
-        return json.dumps(report, indent=2)
-    return json.dumps(_sarif_report(findings), indent=2)
-
-
-def _baseline_key(finding: Finding) -> tuple[str, str, str]:
-    # Line/col-free so the baseline survives unrelated edits; pkgpath-based
-    # so it survives linting from a different scan root.
-    return (finding.rule, finding.pkgpath, finding.message)
-
-
-def _load_baseline(path: Path) -> set[tuple[str, str, str]]:
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    if not isinstance(payload, dict) or "findings" not in payload:
-        raise ValueError(f"baseline {path} is not a findings document")
-    keys: set[tuple[str, str, str]] = set()
-    for entry in payload["findings"]:
-        keys.add(
-            (
-                str(entry["rule"]),
-                str(entry.get("pkgpath", "")),
-                str(entry["message"]),
-            )
-        )
-    return keys
-
-
-def _write_baseline(path: Path, findings: list[Finding]) -> None:
-    entries = sorted(
-        {_baseline_key(finding) for finding in findings}
-    )
-    payload = {
-        "version": _BASELINE_VERSION,
-        "comment": (
-            "Accepted lint_invariants findings. Entries match on "
-            "(rule, pkgpath, message) — regenerate with --write-baseline."
-        ),
-        "findings": [
-            {"rule": rule, "pkgpath": pkgpath, "message": message}
-            for rule, pkgpath, message in entries
-        ],
-    }
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-
-
-def _changed_files(base: str) -> set[Path]:
-    root_proc = subprocess.run(
-        ["git", "rev-parse", "--show-toplevel"],
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    root = Path(root_proc.stdout.strip())
-    diff_proc = subprocess.run(
-        ["git", "diff", "--name-only", base, "--"],
-        capture_output=True,
-        text=True,
-        check=True,
-        cwd=root,
-    )
-    untracked_proc = subprocess.run(
-        ["git", "ls-files", "--others", "--exclude-standard"],
-        capture_output=True,
-        text=True,
-        check=True,
-        cwd=root,
-    )
-    changed: set[Path] = set()
-    for line in (diff_proc.stdout + untracked_proc.stdout).splitlines():
-        name = line.strip()
-        if name:
-            changed.add((root / name).resolve())
-    return changed
+from repro._lint import all_rules, known_ids, run_lint  # noqa: E402
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -234,55 +54,17 @@ def main(argv: list[str] | None = None) -> int:
         help="print every registered rule and exit",
     )
     parser.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="report format (default: text); also applies to --list-rules",
-    )
-    parser.add_argument(
-        "--output",
-        metavar="PATH",
-        help="write the report to PATH instead of stdout",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        help="JSON baseline of accepted findings; matches are not reported",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write current findings to --baseline and exit 0",
-    )
-    parser.add_argument(
         "--report-unused-skips",
         action="store_true",
         help="report `lint: skip` comments that suppress nothing (LNT001)",
     )
-    parser.add_argument(
-        "--changed-only",
-        action="store_true",
-        help=(
-            "report only findings in files changed vs --changed-base "
-            "(the whole tree is still parsed for whole-program rules)"
-        ),
-    )
-    parser.add_argument(
-        "--changed-base",
-        metavar="REF",
-        default="HEAD",
-        help="git ref --changed-only diffs against (default: HEAD)",
-    )
     args = parser.parse_args(argv)
 
     if args.list_rules:
-        if args.format == "json":
-            print(json.dumps(_rule_metadata(), indent=2))
-        else:
-            for rule in all_rules().values():
-                ids = "/".join(rule.emitted_ids())
-                print(f"{ids:<22} {rule.title}")
-                print(f"{'':<22}   {rule.rationale}")
+        for rule in all_rules().values():
+            ids = "/".join(rule.emitted_ids())
+            print(f"{ids:<22} {rule.title}")
+            print(f"{'':<22}   {rule.rationale}")
         return 0
 
     select = None
@@ -295,7 +77,7 @@ def main(argv: list[str] | None = None) -> int:
             report_unused_skips=args.report_unused_skips,
         )
     except KeyError as exc:
-        known = "/".join(m["id"] for m in _rule_metadata())
+        known = "/".join(sorted(known_ids()))
         print(
             f"lint_invariants: error: {exc.args[0]} (known ids: {known})",
             file=sys.stderr,
@@ -305,57 +87,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"lint_invariants: error: {exc}", file=sys.stderr)
         return 2
 
-    if args.write_baseline:
-        if not args.baseline:
-            print(
-                "lint_invariants: error: --write-baseline requires --baseline",
-                file=sys.stderr,
-            )
-            return 2
-        _write_baseline(Path(args.baseline), findings)
-        print(
-            f"wrote {len(findings)} finding(s) to {args.baseline}",
-            file=sys.stderr,
-        )
-        return 0
-
-    if args.baseline:
-        try:
-            accepted = _load_baseline(Path(args.baseline))
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-            print(
-                f"lint_invariants: error: cannot read baseline: {exc}",
-                file=sys.stderr,
-            )
-            return 2
-        findings = [
-            finding
-            for finding in findings
-            if _baseline_key(finding) not in accepted
-        ]
-
-    if args.changed_only:
-        try:
-            changed = _changed_files(args.changed_base)
-        except (OSError, subprocess.CalledProcessError) as exc:
-            detail = getattr(exc, "stderr", "") or str(exc)
-            print(
-                f"lint_invariants: error: git failed under --changed-only: "
-                f"{detail.strip()}",
-                file=sys.stderr,
-            )
-            return 2
-        findings = [
-            finding
-            for finding in findings
-            if Path(finding.path).resolve() in changed
-        ]
-
-    report = _render(findings, args.format)
-    if args.output:
-        Path(args.output).write_text(report + "\n", encoding="utf-8")
-    elif report:
-        print(report)
+    for finding in findings:
+        print(finding.render())
     if findings:
         print(
             f"\n{len(findings)} invariant violation"
