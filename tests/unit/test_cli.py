@@ -31,6 +31,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["scenario", "5"])
 
+    def test_seed_zero_accepted(self):
+        args = build_parser().parse_args(["scenario", "4", "--seed", "0"])
+        assert args.seed == 0
+
+    def test_retired_profile_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["--profile", "tables"])
+        assert exc.value.code == 2
+        assert "--profile" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_tables(self, capsys):
@@ -363,3 +373,12 @@ class TestRunStoreCommands:
         assert out.startswith("error: ") and out.count("\n") == 1
         assert str(afile) in out
         assert afile.read_text() == "not a directory\n"
+
+    def test_run_dir_below_a_file_is_a_usage_error(self, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("not a directory\n")
+        base = afile / "runs"
+        assert main(["--run-dir", str(base), "techniques"]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("error: ") and out.count("\n") == 1
+        assert str(base) in out

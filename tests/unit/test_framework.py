@@ -109,6 +109,20 @@ class TestStudyConfig:
         with pytest.raises(ModelError, match="statistic"):
             StudyConfig(deadline=3250.0, statistic="avg")
 
+    @pytest.mark.parametrize(
+        ("field", "kwargs"),
+        [
+            ("deadline", {"deadline": -1.0}),
+            ("replications", {"replications": 0}),
+            ("seed", {"seed": -5}),
+            ("statistic", {"statistic": "mode"}),
+        ],
+        ids=["deadline", "replications", "seed", "statistic"],
+    )
+    def test_error_names_the_bad_field(self, field, kwargs):
+        with pytest.raises(ModelError, match=f"^{field} "):
+            StudyConfig(**{"deadline": 3250.0, **kwargs})
+
     def test_negative_seed_rejected_at_construction(self):
         with pytest.raises(ModelError, match="seed"):
             StudyConfig(deadline=3250.0, seed=-1)

@@ -7,6 +7,7 @@ real ``src`` tree asserting zero findings.
 
 from __future__ import annotations
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -740,6 +741,18 @@ def run_cli(*args):
     )
 
 
+#: One FLT001 finding, on line 2.
+_FLOAT_EQUALITY = "def f(t):\n    return t == 1.0\n"
+
+
+def _sim_module(tmp_path, name, source):
+    """Write ``source`` under a ``repro/sim/`` path so sim rules apply."""
+    path = tmp_path / "repro" / "sim" / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(source)
+    return path
+
+
 class TestCliFormats:
     def test_list_rules(self):
         run = run_cli("--list-rules")
@@ -761,6 +774,73 @@ class TestCliFormats:
         run = run_cli("--report-unused-skips", str(stale))
         assert run.returncode == 1
         assert "LNT001" in run.stdout
+
+    def test_finding_line_format(self, tmp_path):
+        bad = _sim_module(tmp_path, "bad.py", _FLOAT_EQUALITY)
+        run = run_cli("--select", "FLT001", str(bad))
+        assert run.returncode == 1
+        (line,) = run.stdout.splitlines()
+        assert re.fullmatch(rf"{re.escape(str(bad))}:2:\d+: FLT001 .+", line)
+        assert run.stderr.strip() == "1 invariant violation found."
+
+    def test_summary_counts_every_finding(self, tmp_path):
+        bad = _sim_module(
+            tmp_path, "bad.py", "def f(t):\n    return t == 1.0 or t == 2.0\n"
+        )
+        run = run_cli("--select", "FLT001", str(bad))
+        assert run.returncode == 1
+        assert len(run.stdout.splitlines()) == 2
+        assert run.stderr.strip() == "2 invariant violations found."
+
+    def test_select_runs_only_the_named_rules(self, tmp_path):
+        bad = _sim_module(tmp_path, "bad.py", _FLOAT_EQUALITY)
+        run = run_cli("--select", "RNG001", str(bad))
+        assert run.returncode == 0, run.stdout
+        assert run.stdout == ""
+
+    def test_select_ignores_blanks_and_empty_parts(self, tmp_path):
+        bad = _sim_module(tmp_path, "bad.py", _FLOAT_EQUALITY)
+        run = run_cli("--select", " FLT001 ,,", str(bad))
+        assert run.returncode == 1
+        assert "FLT001" in run.stdout
+
+    def test_clean_file_exits_0_silently(self, tmp_path):
+        clean = _sim_module(
+            tmp_path, "clean.py", '__all__ = ["LIMIT"]\n\nLIMIT = 1\n'
+        )
+        run = run_cli(str(clean))
+        assert (run.returncode, run.stdout, run.stderr) == (0, "", "")
+
+    def test_missing_path_exits_2(self, tmp_path):
+        run = run_cli(str(tmp_path / "nope.py"))
+        assert run.returncode == 2
+        assert run.stderr.startswith("lint_invariants: error:")
+
+    def test_unparsable_file_exits_2(self, tmp_path):
+        broken = _sim_module(tmp_path, "broken.py", "def f(:\n")
+        run = run_cli(str(broken))
+        assert run.returncode == 2
+        assert run.stderr.startswith("lint_invariants: error:")
+
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ["--format", "json"],
+            ["--output", "lint.txt"],
+            ["--baseline", "baseline.json"],
+            ["--write-baseline"],
+            ["--changed-only"],
+            ["--changed-base", "main"],
+        ],
+        ids=lambda option: option[0],
+    )
+    def test_retired_report_option_is_a_usage_error(self, tmp_path, option):
+        # A caller still passing a retired option must fail loudly, not
+        # lint with the option silently dropped.
+        clean = _sim_module(tmp_path, "clean.py", "x = 1\n")
+        run = run_cli(*option, str(clean))
+        assert run.returncode == 2
+        assert "unrecognized arguments" in run.stderr
 
 
 # ----------------------------------------------------------- acceptance gate

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.framework import summary_statistic
-from repro.reporting import render_table, write_csv
+from repro.reporting import format_cell, render_table, write_csv
 from repro.reporting.tables import render_markdown_table
 from repro.sim import AppRunResult, BatchRunResult
 from repro.sim.results import finish_time_cv
@@ -106,6 +106,85 @@ class TestRenderTable:
     def test_markdown_row_length_mismatch(self):
         with pytest.raises(ValueError):
             render_markdown_table(["a", "b"], [["only one"]])
+
+    @pytest.mark.parametrize(
+        "render", [render_table, render_markdown_table], ids=["text", "markdown"]
+    )
+    def test_long_row_rejected(self, render):
+        with pytest.raises(ValueError, match="3 cells but there are 2 headers"):
+            render(["a", "b"], [[1, 2, 3]])
+
+    def test_exact_text_layout(self):
+        out = render_table(["name", "n"], [["a", 1.5], ["bb", 10]])
+        assert out.splitlines() == [
+            "+------+------+",
+            "| name |    n |",
+            "+------+------+",
+            "| a    | 1.50 |",
+            "| bb   |   10 |",
+            "+------+------+",
+        ]
+
+    def test_headers_only(self):
+        assert render_table(["a", "b"], []).splitlines() == [
+            "+---+---+",
+            "| a | b |",
+            "+---+---+",
+            "+---+---+",
+        ]
+        assert render_markdown_table(["a", "b"], []).splitlines() == [
+            "| a | b |",
+            "| --- | --- |",
+        ]
+
+    def test_renderers_share_cell_formatting(self):
+        headers = ["s", "f", "b", "i"]
+        rows = [["x", 1.23456, True, 7]]
+        row = "| x | 1.235 | yes | 7 |"
+        text = render_table(headers, rows, floatfmt=".3f")
+        markdown = render_markdown_table(headers, rows, floatfmt=".3f")
+        assert text.splitlines()[-2] == row
+        assert markdown.splitlines()[-1] == row
+
+    def test_percent_and_bang_suffixes_are_numeric(self):
+        out = render_markdown_table(
+            ["share", "flag"], [["12.5%", "3!"], ["7%", "10!"]]
+        )
+        assert out.splitlines()[1] == "| ---: | ---: |"
+
+    def test_column_with_a_text_cell_is_text(self):
+        rows = [[1], ["n/a"]]
+        assert render_markdown_table(["v"], rows).splitlines()[1] == "| --- |"
+        # Left-aligned, not right-aligned like a numeric column.
+        assert render_table(["v"], rows).splitlines()[3] == "| 1   |"
+
+    def test_rows_may_be_a_generator(self):
+        def rows():
+            return (("a", float(i)) for i in range(3))
+
+        for render in (render_table, render_markdown_table):
+            assert render(["k", "v"], rows()) == render(["k", "v"], list(rows()))
+
+
+class TestFormatCell:
+    @pytest.mark.parametrize(
+        ("value", "expected"),
+        [
+            (True, "yes"),
+            (False, "no"),
+            (1.5, "1.50"),
+            (3, "3"),
+            ("x|y", "x|y"),
+            (None, "None"),
+        ],
+        ids=["true", "false", "float", "int", "str", "none"],
+    )
+    def test_default_format(self, value, expected):
+        assert format_cell(value) == expected
+
+    def test_floatfmt_applies_to_floats_only(self):
+        assert format_cell(0.123456, floatfmt=".4g") == "0.1235"
+        assert format_cell(123456, floatfmt=".4g") == "123456"
 
 
 class TestExport:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.obs import Tracer, span_self_times
+from repro.obs import SpanAggregate, Tracer, read_trace, span_self_times
 
 
 class FakeClock:
@@ -132,3 +132,98 @@ class TestSpanSelfTimesAdopted:
         by_name = {a.name: a for a in span_self_times(parent.records())}
         assert by_name["sim.app"].count == 2
         assert by_name["sim.app"].total == pytest.approx(2.0)
+
+
+class TestSpanSelfTimesEdges:
+    """Record shapes a trace can hold besides one clean nested tree."""
+
+    def test_empty_trace_has_no_aggregates(self):
+        assert span_self_times([]) == []
+
+    def test_unknown_parent_counts_as_a_root(self):
+        # The parent id names no record (e.g. a trace cut mid-run):
+        # nothing is deducted and nothing else is charged.
+        records = [
+            _span(5, "orphan", 0.0, 3.0, parent=99),
+            _span(6, "root", 0.0, 4.0),
+        ]
+        by_name = {a.name: a for a in span_self_times(records)}
+        assert by_name["orphan"].self_time == pytest.approx(3.0)
+        assert by_name["root"].self_time == pytest.approx(4.0)
+
+    def test_closed_child_of_open_span_keeps_its_time(self):
+        open_parent = {
+            "type": "span", "id": 1, "parent": None, "name": "open",
+            "start": 0.0, "attrs": {},
+        }
+        records = [open_parent, _span(2, "child", 1.0, 4.0, parent=1)]
+        (child,) = span_self_times(records)
+        assert child.name == "child"
+        assert child.self_time == pytest.approx(3.0)
+
+    def test_non_numeric_duration_is_skipped(self):
+        record = _span(1, "bad", 0.0, 1.0)
+        record["duration"] = "1.0"
+        records = [record, _span(2, "ok", 0.0, 2.0)]
+        assert [a.name for a in span_self_times(records)] == ["ok"]
+
+    def test_integer_durations_become_floats(self):
+        records = [_span(1, "root", 0, 4), _span(2, "leaf", 1, 2, parent=1)]
+        by_name = {a.name: a for a in span_self_times(records)}
+        assert isinstance(by_name["root"].total, float)
+        assert by_name["root"].self_time == pytest.approx(3.0)
+
+    def test_child_outlasting_parent_clamps_parent_to_zero(self):
+        # Clock skew between a worker and its graft parent can make an
+        # adopted child longer than the parent; self time stays >= 0.
+        records = [
+            _span(1, "parent", 0.0, 2.0),
+            _span(2, "child", 0.0, 5.0, parent=1),
+        ]
+        by_name = {a.name: a for a in span_self_times(records)}
+        assert by_name["parent"].self_time == 0.0
+        assert by_name["child"].self_time == pytest.approx(5.0)
+
+    def test_equal_self_times_ordered_by_name(self):
+        records = [
+            _span(1, "b", 0.0, 1.0),
+            _span(2, "a", 0.0, 1.0),
+            _span(3, "c", 0.0, 2.0),
+        ]
+        assert [a.name for a in span_self_times(records)] == ["c", "a", "b"]
+
+    def test_one_name_under_different_parents_folds(self):
+        records = [
+            _span(1, "cdsf.stage_i", 0.0, 4.0),
+            _span(2, "pmf.convolve", 0.0, 1.0, parent=1),
+            _span(3, "cdsf.stage_ii", 4.0, 10.0),
+            _span(4, "pmf.convolve", 4.0, 7.0, parent=3),
+        ]
+        by_name = {a.name: a for a in span_self_times(records)}
+        convolve = by_name["pmf.convolve"]
+        assert convolve.count == 2
+        assert convolve.total == pytest.approx(4.0)
+        assert convolve.self_time == pytest.approx(4.0)
+        assert convolve.mean == pytest.approx(2.0)
+        assert by_name["cdsf.stage_i"].self_time == pytest.approx(3.0)
+        assert by_name["cdsf.stage_ii"].self_time == pytest.approx(3.0)
+
+    def test_written_trace_reads_back_to_same_aggregates(self, tmp_path):
+        tracer = Tracer(clock=FakeClock())
+        with tracer.span("outer"):
+            with tracer.span("inner"):
+                pass
+            with tracer.span("inner"):
+                pass
+        path = tracer.write_jsonl(tmp_path / "trace.jsonl")
+        assert span_self_times(read_trace(path)) == span_self_times(
+            tracer.records()
+        )
+
+
+class TestSpanAggregate:
+    def test_mean_is_total_over_count(self):
+        assert SpanAggregate("x", 4, 10.0, 6.0).mean == pytest.approx(2.5)
+
+    def test_mean_of_empty_aggregate_is_zero(self):
+        assert SpanAggregate("x", 0, 0.0, 0.0).mean == 0.0

@@ -187,6 +187,34 @@ class TestRenderRunReport:
         assert "no worker timelines" in report
         assert "no spans recorded" in report
 
+    def test_spans_section_rows_by_self_time(self, tmp_path):
+        report = render_run_report(_write_run(tmp_path, "r1"))
+        section = report.split("## Top spans by self-time\n\n", 1)[1]
+        assert section.splitlines()[:4] == [
+            "| span | count | total s | self s |",
+            "| --- | ---: | ---: | ---: |",
+            "| sim.app | 1 | 1.8 | 1.8 |",
+            "| cdsf.run | 1 | 2 | 0.2 |",
+        ]
+
+    def test_spans_section_keeps_top_ten(self, tmp_path):
+        run = _write_run(tmp_path, "r1")
+        records = [
+            _span(i, f"span{i:02d}", 0.0, float(i)) for i in range(1, 13)
+        ]
+        with (run.path / "trace.jsonl").open("w") as fh:
+            for record in records:
+                fh.write(json.dumps(record) + "\n")
+        section = render_run_report(load_run(run.path)).split(
+            "## Top spans by self-time\n\n", 1
+        )[1]
+        listed = [
+            line.split(" | ")[0].removeprefix("| ")
+            for line in section.splitlines()[2:]
+            if line.startswith("| span")
+        ]
+        assert listed == [f"span{i:02d}" for i in range(12, 2, -1)]
+
     def test_report_is_renderable_markdown_table(self, tmp_path):
         """Every table row has the same pipe count as its header."""
         report = render_run_report(_write_run(tmp_path, "r1"))

@@ -60,6 +60,16 @@ class TestRunRecorder:
         with pytest.raises(ObservabilityError, match="already exists"):
             RunRecorder(tmp_path, run_id="r1")
 
+    @pytest.mark.parametrize(
+        "relative", ["afile", "afile/runs"], ids=["file", "below-file"]
+    )
+    def test_base_that_cannot_be_a_directory_raises(self, tmp_path, relative):
+        (tmp_path / "afile").write_text("x\n")
+        base = tmp_path / relative
+        with pytest.raises(ObservabilityError, match="cannot create run store"):
+            RunRecorder(base, run_id="r1")
+        assert (tmp_path / "afile").read_text() == "x\n"
+
     def test_fresh_ids_are_unique(self, tmp_path):
         ids = {RunRecorder(tmp_path).run_id for _ in range(3)}
         assert len(ids) == 3
