@@ -21,9 +21,10 @@ from repro.dls import make_technique
 from repro.paper import PAPER_SIM_CONFIG, data, paper_batch, paper_cases
 from repro.sim import replicate_application
 from repro.system import (
+    ConstantAvailability,
     MarkovAvailability,
-    QuotaAvailability,
     ResampledAvailability,
+    quota_levels,
 )
 
 REPS = 20
@@ -56,7 +57,7 @@ def _models(kind, pmf, size):
             pmf, interval=PAPER_SIM_CONFIG.availability_interval
         )
     if kind == "quota":
-        return QuotaAvailability.for_group(pmf, size)
+        return [ConstantAvailability(level) for level in quota_levels(pmf, size)]
     return _markov_from_pmf(pmf)
 
 

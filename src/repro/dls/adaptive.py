@@ -39,10 +39,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 from ..errors import SchedulingError
 from .base import DLSTechnique, SchedulingSession, WorkerState
-from .factoring import _WeightedSession
+from .factoring import _FactorSpec, _WeightedSession
 
 __all__ = [
     "AdaptiveWeightedFactoring",
@@ -54,15 +55,6 @@ __all__ = [
 ]
 
 
-def _wap(history: list[tuple[int, float]], fallback: float) -> float:
-    """Weighted average performance: recent chunks weigh more."""
-    if not history:
-        return fallback
-    num = sum(k * t for k, t in history)
-    den = sum(k for k, _ in history)
-    return num / den if den > 0 else fallback
-
-
 class _AWFSession(_WeightedSession):
     """Weighted factoring with measured, periodically refreshed weights."""
 
@@ -72,161 +64,109 @@ class _AWFSession(_WeightedSession):
         workers: list[WorkerState],
         factor: float,
         *,
-        per_chunk: bool,
+        refresh: str,
         use_chunk_time: bool,
     ) -> None:
         super().__init__(n_iterations, workers, factor)
-        self._per_chunk = per_chunk
+        self._refresh = refresh
         self._use_chunk_time = use_chunk_time
-        self._cached_weights: dict[int, float] | None = None
+        # Per-timestep weights freeze at session start: measured history
+        # from previous timesteps, a-priori powers on the first.
+        self._cached_weights = (
+            self._measured_weights() if refresh == "timestep" else {}
+        )
 
     # -- weight bookkeeping -------------------------------------------------
 
     def _measured_weights(self) -> dict[int, float]:
+        waps = {
+            wid: w.weighted_iter_time(self._use_chunk_time)
+            for wid, w in self.workers.items()
+        }
+        measured = [v for v in waps.values() if v is not None]
         # Scale-free fallback: a worker with no data adopts the mean measured
         # pace, scaled by its a-priori relative power.
-        waps: dict[int, float] = {}
-        measured = [
-            _wap(
-                w.chunk_total_means if self._use_chunk_time else w.chunk_means,
-                math.nan,
-            )
-            for w in self.workers.values()
-            if (w.chunk_total_means if self._use_chunk_time else w.chunk_means)
-        ]
         default_pace = (sum(measured) / len(measured)) if measured else 1.0
+        inv: dict[int, float] = {}
         for wid, w in self.workers.items():
-            history = w.chunk_total_means if self._use_chunk_time else w.chunk_means
-            fallback = default_pace / max(w.relative_power, 1e-12)
-            waps[wid] = max(_wap(history, fallback), 1e-12)
-        inv = {wid: 1.0 / v for wid, v in waps.items()}
+            wap = waps[wid]
+            if wap is None:
+                wap = default_pace / max(w.relative_power, 1e-12)
+            inv[wid] = 1.0 / max(wap, 1e-12)
         total = sum(inv.values())
         p = self.n_workers
         return {wid: p * v / total for wid, v in inv.items()}
 
     def _weights(self) -> dict[int, float]:
-        if self._per_chunk:
+        if self._refresh == "chunk":
             return self._measured_weights()
-        if self._cached_weights is None:
-            self._cached_weights = self._measured_weights()
         return self._cached_weights
 
     def _on_batch_start(self) -> None:
-        # Batch-updated variants refresh here; chunk-updated ones recompute
-        # at every request anyway.
-        self._cached_weights = self._measured_weights()
+        if self._refresh == "batch":
+            self._cached_weights = self._measured_weights()
 
 
-@dataclass(frozen=True)
-class AdaptiveWeightedFactoring(DLSTechnique):
+class _AWFSpec(_FactorSpec):
+    """The one AWF body; each variant sets the two class attributes."""
+
+    adaptive = True
+    #: When weights refresh: once per ``"timestep"`` (session), at every
+    #: ``"batch"``, or at every ``"chunk"``.
+    refresh: ClassVar[str] = "timestep"
+    #: Measure total chunk time (incl. overhead) instead of iteration time.
+    chunk_time: ClassVar[bool] = False
+
+    def session(
+        self, n_iterations: int, workers: list[WorkerState]
+    ) -> SchedulingSession:
+        return _AWFSession(
+            n_iterations, workers, self.factor,
+            refresh=self.refresh, use_chunk_time=self.chunk_time,
+        )
+
+
+class AdaptiveWeightedFactoring(_AWFSpec):
     """AWF (timestep variant).
 
     For a single loop execution (one timestep) the weights stay at their
     initial values, making AWF coincide with WF within a timestep — its
     adaptivity shows across repeated executions when the caller carries
     :class:`~repro.dls.base.WorkerState` objects (and hence their measured
-    histories) from one timestep's session to the next.
+    statistics) from one timestep's session to the next.
     """
 
-    factor: float = 2.0
-    name: str = "AWF"
-    adaptive: bool = True
-
-    def __post_init__(self) -> None:
-        if self.factor <= 1.0:
-            raise SchedulingError(f"factoring ratio must exceed 1, got {self.factor}")
-
-    def session(
-        self, n_iterations: int, workers: list[WorkerState]
-    ) -> SchedulingSession:
-        session = _AWFSession(
-            n_iterations, workers, self.factor, per_chunk=False, use_chunk_time=False
-        )
-        # Freeze weights at session start (measured history from previous
-        # timesteps, a-priori powers on the first).
-        session._on_batch_start()
-        session._on_batch_start = lambda: None  # no intra-timestep updates
-        return session
+    name = "AWF"
 
 
-@dataclass(frozen=True)
-class AWFBatch(DLSTechnique):
+class AWFBatch(_AWFSpec):
     """AWF-B: weights refreshed at every batch from iteration times."""
 
-    factor: float = 2.0
-    name: str = "AWF-B"
-    adaptive: bool = True
-
-    def __post_init__(self) -> None:
-        if self.factor <= 1.0:
-            raise SchedulingError(f"factoring ratio must exceed 1, got {self.factor}")
-
-    def session(
-        self, n_iterations: int, workers: list[WorkerState]
-    ) -> SchedulingSession:
-        return _AWFSession(
-            n_iterations, workers, self.factor, per_chunk=False, use_chunk_time=False
-        )
+    name = "AWF-B"
+    refresh = "batch"
 
 
-@dataclass(frozen=True)
-class AWFChunk(DLSTechnique):
+class AWFChunk(_AWFSpec):
     """AWF-C: weights refreshed at every chunk from iteration times."""
 
-    factor: float = 2.0
-    name: str = "AWF-C"
-    adaptive: bool = True
-
-    def __post_init__(self) -> None:
-        if self.factor <= 1.0:
-            raise SchedulingError(f"factoring ratio must exceed 1, got {self.factor}")
-
-    def session(
-        self, n_iterations: int, workers: list[WorkerState]
-    ) -> SchedulingSession:
-        return _AWFSession(
-            n_iterations, workers, self.factor, per_chunk=True, use_chunk_time=False
-        )
+    name = "AWF-C"
+    refresh = "chunk"
 
 
-@dataclass(frozen=True)
-class AWFBatchChunkTime(DLSTechnique):
+class AWFBatchChunkTime(_AWFSpec):
     """AWF-D: like AWF-B but weighting by total chunk time (incl. overhead)."""
 
-    factor: float = 2.0
-    name: str = "AWF-D"
-    adaptive: bool = True
-
-    def __post_init__(self) -> None:
-        if self.factor <= 1.0:
-            raise SchedulingError(f"factoring ratio must exceed 1, got {self.factor}")
-
-    def session(
-        self, n_iterations: int, workers: list[WorkerState]
-    ) -> SchedulingSession:
-        return _AWFSession(
-            n_iterations, workers, self.factor, per_chunk=False, use_chunk_time=True
-        )
+    name = "AWF-D"
+    refresh = "batch"
+    chunk_time = True
 
 
-@dataclass(frozen=True)
-class AWFChunkChunkTime(DLSTechnique):
+class AWFChunkChunkTime(_AWFSpec):
     """AWF-E: like AWF-C but weighting by total chunk time (incl. overhead)."""
 
-    factor: float = 2.0
-    name: str = "AWF-E"
-    adaptive: bool = True
-
-    def __post_init__(self) -> None:
-        if self.factor <= 1.0:
-            raise SchedulingError(f"factoring ratio must exceed 1, got {self.factor}")
-
-    def session(
-        self, n_iterations: int, workers: list[WorkerState]
-    ) -> SchedulingSession:
-        return _AWFSession(
-            n_iterations, workers, self.factor, per_chunk=True, use_chunk_time=True
-        )
+    name = "AWF-E"
+    refresh = "chunk"
+    chunk_time = True
 
 
 # ------------------------------------------------------------------------- AF
@@ -269,8 +209,8 @@ class AdaptiveFactoring(DLSTechnique):
     """AF: probabilistically sized chunks from runtime (mu, sigma) estimates."""
 
     pilot_factor: float = 8.0
-    name: str = "AF"
-    adaptive: bool = True
+    name = "AF"
+    adaptive = True
 
     def __post_init__(self) -> None:
         if self.pilot_factor <= 1.0:

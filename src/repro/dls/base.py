@@ -20,7 +20,8 @@ applications as several distinct instances", paper §III-B).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -43,14 +44,13 @@ class WorkerState:
     relative_power: float = 1.0
     iterations_done: int = 0
     chunks_done: int = 0
-    total_time: float = 0.0  # wall-clock time spent computing iterations
-    total_chunk_time: float = 0.0  # including per-chunk overhead
     # Sufficient statistics of per-iteration wall times (for AF):
     sum_t: float = 0.0
     sum_t2: float = 0.0
-    # Chunk-indexed history of mean iteration times (for AWF weighting):
-    chunk_means: list[tuple[int, float]] = field(default_factory=list)
-    chunk_total_means: list[tuple[int, float]] = field(default_factory=list)
+    # Sums over completed chunks k = 1, 2, ... of k times the chunk's mean
+    # iteration time, without and with its scheduling overhead (for AWF):
+    k_sum_t: float = 0.0
+    k_sum_chunk_t: float = 0.0
 
     @property
     def mean_iter_time(self) -> float | None:
@@ -66,6 +66,19 @@ class WorkerState:
             return None
         mean = self.sum_t / self.iterations_done
         return max(0.0, self.sum_t2 / self.iterations_done - mean * mean)
+
+    def weighted_iter_time(self, chunk_time: bool = False) -> float | None:
+        """AWF's weighted average performance, or None before any chunk.
+
+        ``(sum_k k * t_k) / (sum_k k)`` over completed chunks ``k`` with
+        mean per-iteration time ``t_k``, so recent chunks weigh more.
+        With ``chunk_time``, ``t_k`` includes the chunk's scheduling
+        overhead (AWF-D/E).
+        """
+        if self.chunks_done == 0:
+            return None
+        k_sum = self.k_sum_chunk_t if chunk_time else self.k_sum_t
+        return k_sum / (self.chunks_done * (self.chunks_done + 1) // 2)
 
 
 class SchedulingSession(ABC):
@@ -84,7 +97,6 @@ class SchedulingSession(ABC):
         if len(self._workers) != len(workers):
             raise SchedulingError("duplicate worker ids")
         self._scheduled = 0
-        self._chunk_log: list[tuple[int, int]] = []  # (worker_id, size)
         self._retired: set[int] = set()
         #: Metrics label (the technique name): when set, chunk sizes are
         #: additionally recorded in a ``dls.chunk_size.<label>`` histogram
@@ -111,11 +123,6 @@ class SchedulingSession(ABC):
     def workers(self) -> dict[int, WorkerState]:
         return self._workers
 
-    @property
-    def chunk_log(self) -> list[tuple[int, int]]:
-        """Dispatch history as ``(worker_id, chunk size)`` pairs."""
-        return list(self._chunk_log)
-
     # ------------------------------------------------------------- scheduling
 
     def next_chunk(self, worker_id: int) -> int:
@@ -130,7 +137,6 @@ class SchedulingSession(ABC):
         size = min(size, self._remaining)
         self._remaining -= size
         self._scheduled += size
-        self._chunk_log.append((worker_id, size))
         if obs_enabled():
             observe_value("dls.chunk_size", float(size))
             if self.label is not None:
@@ -200,6 +206,10 @@ class SchedulingSession(ABC):
         """
         if worker_id not in self._workers:
             raise SchedulingError(f"unknown worker id {worker_id}")
+        if chunk_size < 1:
+            raise SchedulingError(
+                f"a completed chunk has >= 1 iteration, got {chunk_size}"
+            )
         times = np.asarray(iteration_times, dtype=np.float64)
         if times.size != chunk_size:
             raise SchedulingError(
@@ -209,33 +219,22 @@ class SchedulingSession(ABC):
         w.iterations_done += chunk_size
         w.chunks_done += 1
         total = float(times.sum())
-        w.total_time += total
-        w.total_chunk_time += chunk_time if chunk_time is not None else total
         w.sum_t += total
         w.sum_t2 += float((times * times).sum())
-        if chunk_size > 0:
-            w.chunk_means.append((w.chunks_done, total / chunk_size))
-            w.chunk_total_means.append(
-                (
-                    w.chunks_done,
-                    (chunk_time if chunk_time is not None else total) / chunk_size,
-                )
-            )
-        self._on_record(worker_id, chunk_size, times)
-
-    def _on_record(
-        self, worker_id: int, chunk_size: int, iteration_times: np.ndarray
-    ) -> None:
-        """Hook for adaptive techniques; default is a no-op."""
+        k = w.chunks_done
+        w.k_sum_t += k * (total / chunk_size)
+        w.k_sum_chunk_t += k * (
+            (chunk_time if chunk_time is not None else total) / chunk_size
+        )
 
 
 class DLSTechnique(ABC):
     """Immutable DLS technique specification; a factory of sessions."""
 
     #: Registry identifier, e.g. ``"FAC"``.
-    name: str = "abstract"
+    name: ClassVar[str] = "abstract"
     #: Whether the technique updates its rule from runtime measurements.
-    adaptive: bool = False
+    adaptive: ClassVar[bool] = False
 
     @abstractmethod
     def session(

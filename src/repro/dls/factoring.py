@@ -72,18 +72,26 @@ class _FactoringSession(_BatchedSession):
 
 
 @dataclass(frozen=True)
-class Factoring(DLSTechnique):
-    """FAC: equal chunks of ``remaining / (x * P)`` per batch (default x=2)."""
+class _FactorSpec(DLSTechnique):
+    """A batched technique's ``factor`` field and its check.
+
+    FAC, WF and the AWF variants hand out ``1/factor`` of the remaining
+    iterations per batch; subclasses add no fields.
+    """
 
     factor: float = 2.0
-    name: str = "FAC"
-    adaptive: bool = False
 
     def __post_init__(self) -> None:
         if self.factor <= 1.0:
             raise SchedulingError(
                 f"factoring ratio must exceed 1, got {self.factor}"
             )
+
+
+class Factoring(_FactorSpec):
+    """FAC: equal chunks of ``remaining / (x * P)`` per batch (default x=2)."""
+
+    name = "FAC"
 
     def session(
         self, n_iterations: int, workers: list[WorkerState]
@@ -175,8 +183,8 @@ class ProbabilisticFactoring(DLSTechnique):
     """
 
     prior_cv: float = 0.1
-    name: str = "FAC-P"
-    adaptive: bool = True  # its ratio adapts to measured statistics
+    name = "FAC-P"
+    adaptive = True  # its ratio adapts to measured statistics
 
     def __post_init__(self) -> None:
         if self.prior_cv < 0:
@@ -192,19 +200,10 @@ class ProbabilisticFactoring(DLSTechnique):
         )
 
 
-@dataclass(frozen=True)
-class WeightedFactoring(DLSTechnique):
+class WeightedFactoring(_FactorSpec):
     """WF: factoring batches split by fixed relative processor weights."""
 
-    factor: float = 2.0
-    name: str = "WF"
-    adaptive: bool = False
-
-    def __post_init__(self) -> None:
-        if self.factor <= 1.0:
-            raise SchedulingError(
-                f"factoring ratio must exceed 1, got {self.factor}"
-            )
+    name = "WF"
 
     def session(
         self, n_iterations: int, workers: list[WorkerState]

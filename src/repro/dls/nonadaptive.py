@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 from ..errors import SchedulingError
 from .base import DLSTechnique, SchedulingSession, WorkerState
@@ -53,8 +54,6 @@ class _StaticSession(SchedulingSession):
         self._served: set[int] = set()
 
     def _compute_chunk(self, worker_id: int) -> int:
-        if worker_id in self._served:
-            return 0  # clamped to 0 by next_chunk only when remaining == 0...
         self._served.add(worker_id)
         # Retired (crashed) workers get no share: the space is split
         # among the survivors, so their orphaned iterations (clamped to
@@ -92,8 +91,7 @@ class _StaticSession(SchedulingSession):
 class Static(DLSTechnique):
     """Straightforward parallelization (equal shares, single step)."""
 
-    name: str = "STATIC"
-    adaptive: bool = False
+    name = "STATIC"
 
     def session(
         self, n_iterations: int, workers: list[WorkerState]
@@ -119,8 +117,7 @@ class _ConstantChunkSession(SchedulingSession):
 class SelfScheduling(DLSTechnique):
     """SS: one iteration per request."""
 
-    name: str = "SS"
-    adaptive: bool = False
+    name = "SS"
 
     def session(
         self, n_iterations: int, workers: list[WorkerState]
@@ -145,8 +142,7 @@ class FixedSizeChunking(DLSTechnique):
     chunk_size: int | None = None
     overhead: float = 0.0
     sigma: float = 0.0
-    name: str = "FSC"
-    adaptive: bool = False
+    name = "FSC"
 
     def __post_init__(self) -> None:
         if self.chunk_size is not None and self.chunk_size < 1:
@@ -186,8 +182,7 @@ class ModifiedFSC(DLSTechnique):
     — retaining FSC's regularity without its overhead-formula inputs.
     """
 
-    name: str = "mFSC"
-    adaptive: bool = False
+    name = "mFSC"
 
     def session(
         self, n_iterations: int, workers: list[WorkerState]
@@ -210,8 +205,7 @@ class _GuidedSession(SchedulingSession):
 class Guided(DLSTechnique):
     """GSS: chunk = ceil(remaining / P)."""
 
-    name: str = "GSS"
-    adaptive: bool = False
+    name = "GSS"
 
     def session(
         self, n_iterations: int, workers: list[WorkerState]
@@ -238,7 +232,7 @@ class _TrapezoidSession(SchedulingSession):
         return size
 
 
-class _TrapezoidFactoringSession(SchedulingSession):
+class _TrapezoidFactoringSession(_TrapezoidSession):
     """TFSS: factoring-style batches of equal chunks with TSS's decay.
 
     Trapezoid factoring self-scheduling (Chronopoulos et al.): like FAC,
@@ -249,11 +243,7 @@ class _TrapezoidFactoringSession(SchedulingSession):
     def __init__(
         self, n_iterations: int, workers: list[WorkerState], first: int, last: int
     ) -> None:
-        super().__init__(n_iterations, workers)
-        self._next_size = float(first)
-        self._last = last
-        n_chunks = max(1, math.ceil(2 * n_iterations / (first + last)))
-        self._delta = (first - last) / max(1, n_chunks - 1)
+        super().__init__(n_iterations, workers, first, last)
         self._batch_quota = 0
         self._batch_chunk = first
 
@@ -270,48 +260,39 @@ class _TrapezoidFactoringSession(SchedulingSession):
 
 
 @dataclass(frozen=True)
-class TrapezoidFactoring(DLSTechnique):
+class _TrapezoidSpec(DLSTechnique):
+    """TSS/TFSS fields: chunk sizes fall linearly from ``first`` to ``last``.
+
+    ``first`` defaults to ``ceil(N / 2P)`` (at least ``last``).
+    """
+
+    first: int | None = None
+    last: int = 1
+    _session_type: ClassVar[type[_TrapezoidSession]] = _TrapezoidSession
+
+    def __post_init__(self) -> None:
+        if self.first is not None and self.first < 1:
+            raise SchedulingError(f"first chunk must be >= 1, got {self.first}")
+        if self.last < 1:
+            raise SchedulingError(f"last chunk must be >= 1, got {self.last}")
+
+    def session(
+        self, n_iterations: int, workers: list[WorkerState]
+    ) -> SchedulingSession:
+        first = self.first
+        if first is None:
+            first = max(self.last, math.ceil(n_iterations / (2 * len(workers))))
+        return self._session_type(n_iterations, workers, first, self.last)
+
+
+class TrapezoidFactoring(_TrapezoidSpec):
     """TFSS: TSS's linear decrease applied per batch of ``P`` equal chunks."""
 
-    first: int | None = None
-    last: int = 1
-    name: str = "TFSS"
-    adaptive: bool = False
-
-    def __post_init__(self) -> None:
-        if self.first is not None and self.first < 1:
-            raise SchedulingError(f"first chunk must be >= 1, got {self.first}")
-        if self.last < 1:
-            raise SchedulingError(f"last chunk must be >= 1, got {self.last}")
-
-    def session(
-        self, n_iterations: int, workers: list[WorkerState]
-    ) -> SchedulingSession:
-        first = self.first
-        if first is None:
-            first = max(self.last, math.ceil(n_iterations / (2 * len(workers))))
-        return _TrapezoidFactoringSession(n_iterations, workers, first, self.last)
+    name = "TFSS"
+    _session_type = _TrapezoidFactoringSession
 
 
-@dataclass(frozen=True)
-class Trapezoid(DLSTechnique):
+class Trapezoid(_TrapezoidSpec):
     """TSS with the standard defaults ``first = ceil(N / 2P)``, ``last = 1``."""
 
-    first: int | None = None
-    last: int = 1
-    name: str = "TSS"
-    adaptive: bool = False
-
-    def __post_init__(self) -> None:
-        if self.first is not None and self.first < 1:
-            raise SchedulingError(f"first chunk must be >= 1, got {self.first}")
-        if self.last < 1:
-            raise SchedulingError(f"last chunk must be >= 1, got {self.last}")
-
-    def session(
-        self, n_iterations: int, workers: list[WorkerState]
-    ) -> SchedulingSession:
-        first = self.first
-        if first is None:
-            first = max(self.last, math.ceil(n_iterations / (2 * len(workers))))
-        return _TrapezoidSession(n_iterations, workers, first, self.last)
+    name = "TSS"

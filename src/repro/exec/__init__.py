@@ -18,7 +18,9 @@ pluggable backend:
   independent stream per task from ``SeedSequence`` spawn keys, so
   results are bit-for-bit identical no matter where tasks land;
 * :func:`evaluate_allocations` — the shared stage-I candidate scoring
-  path (memoized serially, chunked across workers in parallel).
+  path (memoized serially, chunked across workers in parallel);
+* :func:`fan_out_ranges` — the one rule deciding whether a batch of
+  items stays in-process or splits into per-worker ranges.
 
 Determinism guarantee: for the same root seed, every backend produces
 identical results — tasks carry their own derived seeds and results are
@@ -32,6 +34,7 @@ from .backends import (
     ProcessPoolBackend,
     SerialBackend,
     default_workers,
+    fan_out_ranges,
     get_backend,
     parse_workers,
 )
@@ -54,6 +57,7 @@ __all__ = [
     "derive_seed",
     "encode_component",
     "evaluate_allocations",
+    "fan_out_ranges",
     "get_backend",
     "parse_workers",
 ]

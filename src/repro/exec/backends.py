@@ -48,6 +48,7 @@ __all__ = [
     "get_backend",
     "default_workers",
     "parse_workers",
+    "fan_out_ranges",
 ]
 
 #: Environment variable selecting the default worker count.
@@ -279,6 +280,23 @@ class ProcessPoolBackend(ExecutionBackend):
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
+
+
+def fan_out_ranges(
+    n_items: int, backend: ExecutionBackend | None
+) -> list[tuple[int, int]] | None:
+    """The one fan-out rule: how ``n_items`` split over ``backend``.
+
+    Returns ``None`` — stay in-process — when there is no backend, one
+    worker, or fewer than two items per worker. Otherwise returns two
+    contiguous ``(lo, hi)`` ranges per worker, tiling ``[0, n_items)``
+    in order, so each worker has a second task queued behind its first.
+    """
+    if backend is None or backend.workers <= 1 or n_items < 2 * backend.workers:
+        return None
+    n_ranges = 2 * backend.workers
+    bounds = [(n_items * k) // n_ranges for k in range(n_ranges + 1)]
+    return list(zip(bounds, bounds[1:]))
 
 
 def get_backend(workers: int | str | None = None) -> ExecutionBackend:

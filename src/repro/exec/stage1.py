@@ -2,9 +2,9 @@
 
 Population- and enumeration-based RA heuristics score large batches of
 candidate allocations per step; :func:`evaluate_allocations` is the one
-path they all use. Serially it scores through the caller's (memoized)
+path they all use. In-process it scores through the caller's (memoized)
 :class:`~repro.ra.robustness.StageIEvaluator`; on a parallel backend it
-chunks the candidates into :class:`~repro.exec.tasks.CandidateEvalTask`
+splits the candidates into :class:`~repro.exec.tasks.CandidateEvalTask`
 descriptions, one evaluator rebuilt per chunk in the worker. Scores are
 pure PMF algebra, so the two paths are bit-for-bit identical.
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from typing import TYPE_CHECKING
 
-from .backends import ExecutionBackend, SerialBackend
+from .backends import ExecutionBackend, fan_out_ranges
 from .tasks import CandidateEvalTask, encode_assignments
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -22,9 +22,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..system import ProcessorGroup
 
 __all__ = ["evaluate_allocations"]
-
-#: Chunks submitted per worker in one fan-out (pipelining headroom).
-_CHUNKS_PER_WORKER = 2
 
 
 def evaluate_allocations(
@@ -36,23 +33,13 @@ def evaluate_allocations(
 
     ``candidates`` are app-name -> group mappings (not necessarily
     validated ``Allocation`` objects — heuristic intermediates are
-    allowed). With a parallel backend the candidates are split into at
-    most ``workers * 2`` chunks; anything smaller than one chunk per
-    worker stays serial, where the evaluator's shared cache wins.
+    allowed). They fan out over ``backend`` per
+    :func:`~repro.exec.fan_out_ranges`; a batch that stays in-process
+    shares the evaluator's cache.
     """
-    if not candidates:
-        return []
-    if (
-        backend is None
-        or isinstance(backend, SerialBackend)
-        or backend.workers <= 1
-        or len(candidates) < 2 * backend.workers
-    ):
+    ranges = fan_out_ranges(len(candidates), backend)
+    if backend is None or ranges is None:
         return [evaluator.joint_probability(dict(c)) for c in candidates]
-    n_chunks = min(len(candidates), backend.workers * _CHUNKS_PER_WORKER)
-    bounds = [
-        (len(candidates) * k) // n_chunks for k in range(n_chunks + 1)
-    ]
     tasks = [
         CandidateEvalTask(
             batch=evaluator.batch,
@@ -63,8 +50,7 @@ def evaluate_allocations(
                 for c in candidates[lo:hi]
             ),
         )
-        for lo, hi in zip(bounds, bounds[1:])
-        if hi > lo
+        for lo, hi in ranges
     ]
     scores: list[float] = []
     for chunk_scores in backend.run_tasks(tasks):

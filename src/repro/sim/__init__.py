@@ -1,7 +1,7 @@
 """Discrete-event simulation substrate for stage II."""
 
-from .events import Event, EventQueue
-from .worker import SimWorker, ChunkExecution
+from .events import EventQueue
+from .worker import SimWorker
 from .results import (
     ChunkRecord,
     MasterFailover,
@@ -29,10 +29,8 @@ from .timesteps import (
 from .batchsim import simulate_batch, replicate_batch
 
 __all__ = [
-    "Event",
     "EventQueue",
     "SimWorker",
-    "ChunkExecution",
     "ChunkRecord",
     "MasterFailover",
     "AppRunResult",

@@ -1,7 +1,7 @@
 """Event queue primitives for the discrete-event simulator.
 
 A tiny, dependency-free DES core: events are ``(time, seq, payload)``
-triples kept in a binary heap; ``seq`` is a monotonically increasing
+tuples kept in a binary heap; ``seq`` is a monotonically increasing
 tie-breaker so simultaneous events fire in scheduling order (deterministic
 replay is a hard requirement for reproducible experiments).
 """
@@ -9,50 +9,33 @@ replay is a hard requirement for reproducible experiments).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from typing import Any
 
 from ..errors import SimulationError
 
-__all__ = ["Event", "EventQueue"]
-
-
-@dataclass(frozen=True, order=True)
-class Event:
-    """One scheduled occurrence. Ordering: time, then insertion sequence."""
-
-    time: float
-    seq: int
-    payload: Any = field(compare=False, default=None)
+__all__ = ["EventQueue"]
 
 
 class EventQueue:
     """Binary-heap event queue with deterministic FIFO tie-breaking."""
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, Any]] = []
         self._seq = 0
 
-    def push(self, time: float, payload: Any = None) -> Event:
-        """Schedule ``payload`` at ``time``; returns the created event."""
+    def push(self, time: float, payload: Any = None) -> None:
+        """Schedule ``payload`` at ``time``."""
         if time < 0:
             raise SimulationError(f"event time must be >= 0, got {time}")
-        event = Event(time=time, seq=self._seq, payload=payload)
+        heapq.heappush(self._heap, (time, self._seq, payload))
         self._seq += 1
-        heapq.heappush(self._heap, event)
-        return event
 
-    def pop(self) -> Event:
-        """Remove and return the earliest event."""
+    def pop(self) -> tuple[float, Any]:
+        """Remove the earliest event; returns its ``(time, payload)``."""
         if not self._heap:
             raise SimulationError("pop from an empty event queue")
-        return heapq.heappop(self._heap)
-
-    def peek(self) -> Event:
-        """Earliest event without removing it."""
-        if not self._heap:
-            raise SimulationError("peek at an empty event queue")
-        return self._heap[0]
+        time, _, payload = heapq.heappop(self._heap)
+        return time, payload
 
     def __len__(self) -> int:
         return len(self._heap)

@@ -15,6 +15,7 @@ full availability slows down if availability drops mid-chunk.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +24,7 @@ from ..apps import Application
 from ..contracts import check_iteration_conservation, contracts_enabled
 from ..dls import DLSTechnique, SchedulingSession, WorkerState
 from ..errors import SimulationError
-from ..exec.backends import ExecutionBackend, SerialBackend
+from ..exec.backends import ExecutionBackend, fan_out_ranges
 from ..exec.seeds import SeedTree
 from ..exec.tasks import ReplicateTask
 from ..faults import FaultInjector, FaultPlan, degraded_boundaries
@@ -75,11 +76,13 @@ class LoopSimConfig:
     seed. A zero-rate plan (``FaultPlan()``, the inert default) takes
     the exact no-faults code path, so results are bit-for-bit identical
     to ``faults=None``.
+
+    An application without serial iterations (``n_serial=0``) runs no
+    serial phase: its parallel loop starts at time 0.
     """
 
     overhead: float = DEFAULT_OVERHEAD
     availability_interval: float = DEFAULT_AVAIL_INTERVAL
-    include_serial: bool = True
     master_policy: str = "first"
     faults: FaultPlan | None = None
 
@@ -95,6 +98,16 @@ class LoopSimConfig:
                 f"unknown master_policy {self.master_policy!r}; "
                 "expected 'first' or 'best-available'"
             )
+
+
+def _fault_plan(config: LoopSimConfig) -> FaultPlan | None:
+    """The config's fault plan if it can inject anything, else ``None``.
+
+    A zero-rate plan realizes no injector at all, so it takes exactly
+    the fault-free code path (bit-for-bit identical results).
+    """
+    plan = config.faults
+    return None if plan is None or plan.is_zero else plan
 
 
 def _build_workers(
@@ -147,6 +160,11 @@ class ParallelLoopResult:
     degradations: int = 0
     failovers: tuple[MasterFailover, ...] = ()
     master_id: int | None = None
+
+    @property
+    def end_time(self) -> float:
+        """When the last worker finished (the loop start if none ran)."""
+        return max(self.finish_times.values())
 
 
 @dataclass
@@ -282,10 +300,8 @@ def run_parallel_loop(
     by_id = {w.worker_id: w for w in workers}
     loop_events = 0
     while queue:
-        event = queue.pop()
+        now, worker = queue.pop()
         loop_events += 1
-        worker: SimWorker = event.payload
-        now = event.time
         wid = worker.worker_id
         if wid in dead:  # pragma: no cover - defensive; no events outlive death
             continue
@@ -336,9 +352,9 @@ def run_parallel_loop(
                 parked[wid] = now
             continue
         start = now + config.overhead
-        execution = worker.execute_chunk(start, size, par_model)
-        finish = execution.finish_time
-        wall_times = execution.iteration_wall_times
+        ends = worker.execute_chunk(start, size, par_model)
+        finish = float(ends[-1])
+        wall_times = np.diff(np.concatenate(([start], ends)))
         if injector is not None:
             boundaries = start + np.cumsum(wall_times)
             adjusted, applied = degraded_boundaries(
@@ -413,21 +429,36 @@ def simulate_application(
     frozen realization across techniques.
 
     Returns an :class:`~repro.sim.results.AppRunResult`; its ``makespan``
-    includes the serial phase (if enabled) and the full parallel loop.
+    includes the serial phase (if any) and the full parallel loop.
     """
     config = config or LoopSimConfig()
-    faulty = config.faults is not None and not config.faults.is_zero
     with span(
         "sim.app",
         app=app.name,
         technique=technique.name,
         group_type=group.ptype.name,
         group_size=group.size,
-        faults=faulty,
+        faults=_fault_plan(config) is not None,
     ) as sp:
-        result = _simulate_application(
-            app, group, technique, seed=seed, config=config,
-            availability=availability,
+        ((_, serial_end, loop),) = _run_steps(
+            app, group, technique, 1,
+            seed=seed, config=config, availability=availability,
+        )
+        result = AppRunResult(
+            app_name=app.name,
+            technique=technique.name,
+            group_type=group.ptype.name,
+            group_size=group.size,
+            serial_time=serial_end,
+            makespan=loop.end_time,
+            chunks=tuple(loop.chunks),
+            worker_finish_times=loop.finish_times,
+            iterations_executed=loop.executed,
+            master_id=loop.master_id,
+            crashed_workers=loop.crashed,
+            rescheduled_iterations=loop.rescheduled,
+            degradations_applied=loop.degradations,
+            master_failovers=loop.failovers,
         )
         # Post-hoc attributes: the timeline builder needs the loop start
         # (serial_time) to reproduce worker finish times exactly.
@@ -448,80 +479,98 @@ def simulate_application(
     return result
 
 
-def _simulate_application(
+def _master_candidates(
+    live: list[SimWorker], injector: FaultInjector | None, at: float
+) -> list[SimWorker]:
+    """Live workers whose crash time has not passed by ``at``.
+
+    Falls back to every live worker: when all of them are past their
+    crash time, the one still live is the survivor the loop kept alive.
+    """
+    if injector is None:
+        return live
+    fit = [
+        w for w in live
+        if (crash := injector.crash_time(w.worker_id)) is None or crash > at
+    ]
+    return fit or live
+
+
+def _run_steps(
     app: Application,
     group: ProcessorGroup,
     technique: DLSTechnique,
+    n_steps: int,
     *,
     seed: int | None,
     config: LoopSimConfig,
     availability: AvailabilityModel | list[AvailabilityModel] | None,
-) -> AppRunResult:
+) -> Iterator[tuple[float, float, ParallelLoopResult]]:
+    """Run ``n_steps`` executions of the application on one set of workers.
+
+    The one driver behind :func:`simulate_application` (one step) and
+    :func:`~repro.sim.timesteps.simulate_timestepped` (many). Workers,
+    their :class:`~repro.dls.WorkerState` and the fault injector are built
+    once, so availability, adaptive measurements and crashes carry over
+    from step to step. Each step runs the serial phase (if any) on a live
+    master, then the parallel loop under a fresh scheduling session, and
+    yields ``(step start, loop start, loop result)``; the next step
+    starts when the last worker finishes.
+
+    A crashed worker is retired for good: later steps neither pick it as
+    master nor dispatch to it (their sessions start with it retired).
+    """
     workers = _build_workers(group, availability, config, seed)
     type_name = group.ptype.name
-    # A zero-rate plan realizes no injector at all, so it takes exactly
-    # the fault-free code path (bit-for-bit identical results).
-    injector: FaultInjector | None = None
-    if config.faults is not None and not config.faults.is_zero:
-        injector = config.faults.realize(seed, group.size)
-
-    # ----------------------------------------------------------- serial phase
-    serial_end = 0.0
-    master_id: int | None = None
-    if config.include_serial and app.n_serial > 0:
-        serial_model = app.serial_iteration_model(type_name)
-        if serial_model is not None:
-            master = _pick_master(workers, config.master_policy, 0.0)
-            master_id = master.worker_id
-            execution = master.execute_chunk(0.0, app.n_serial, serial_model)
-            serial_end = execution.finish_time
-
-    # --------------------------------------------------------- parallel phase
+    serial_model = app.serial_iteration_model(type_name)
     par_model = app.parallel_iteration_model(type_name)
+    power = group.ptype.capacity * group.ptype.expected_availability
     states = [
-        WorkerState(
-            worker_id=w.worker_id,
-            relative_power=group.ptype.capacity
-            * group.ptype.expected_availability,
-        )
+        WorkerState(worker_id=w.worker_id, relative_power=power)
         for w in workers
     ]
-    session = technique.session(app.n_parallel, states)
-    session.label = technique.name
-    loop = run_parallel_loop(
-        workers, session, par_model, serial_end, config,
-        injector=injector, master_id=master_id,
-    )
-
-    if loop.executed != app.n_parallel:
-        raise SimulationError(
-            f"simulated {loop.executed} parallel iterations, "
-            f"expected {app.n_parallel}"
+    # One injector spans the whole run: crash times are absolute wall
+    # clock, so a worker that died in step 3 stays dead in step 4.
+    plan = _fault_plan(config)
+    injector = plan.realize(seed, group.size) if plan is not None else None
+    retired: list[int] = []
+    start = 0.0
+    for _ in range(n_steps):
+        live = [w for w in workers if w.worker_id not in retired]
+        loop_start = start
+        master_id: int | None = None
+        if serial_model is not None:
+            master = _pick_master(
+                _master_candidates(live, injector, start),
+                config.master_policy,
+                start,
+            )
+            master_id = master.worker_id
+            ends = master.execute_chunk(start, app.n_serial, serial_model)
+            loop_start = float(ends[-1])
+        session = technique.session(app.n_parallel, states)
+        session.label = technique.name
+        for wid in retired:
+            session.retire(wid)
+        loop = run_parallel_loop(
+            live, session, par_model, loop_start, config,
+            injector=injector, master_id=master_id,
         )
-    if contracts_enabled():
-        check_iteration_conservation(
-            loop.executed, app.n_parallel, loop.rescheduled
-        )
-    if injector is not None and obs_enabled():
-        incr("faults.injected", float(len(loop.crashed) + loop.degradations))
-        incr("faults.rescheduled", float(loop.rescheduled))
-    makespan = max([serial_end, *(c.finish_time for c in loop.chunks)])
-    return AppRunResult(
-        app_name=app.name,
-        technique=technique.name,
-        group_type=type_name,
-        group_size=group.size,
-        serial_time=serial_end,
-        makespan=makespan,
-        chunks=tuple(loop.chunks),
-        worker_finish_times=loop.finish_times,
-        iterations_executed=loop.executed,
-        master_id=loop.master_id if injector is not None else master_id,
-        crashed_workers=loop.crashed,
-        rescheduled_iterations=loop.rescheduled,
-        degradations_applied=loop.degradations,
-        master_failovers=loop.failovers,
-    )
+        if loop.executed != app.n_parallel:
+            raise SimulationError(
+                f"simulated {loop.executed} parallel iterations, "
+                f"expected {app.n_parallel}"
+            )
+        if contracts_enabled():
+            check_iteration_conservation(
+                loop.executed, app.n_parallel, loop.rescheduled
+            )
+        if injector is not None and obs_enabled():
+            incr("faults.injected", float(len(loop.crashed) + loop.degradations))
+            incr("faults.rescheduled", float(loop.rescheduled))
+        retired.extend(loop.crashed)
+        yield start, loop_start, loop
+        start = loop.end_time
 
 
 def replication_seeds(seed: int | None, replications: int) -> tuple[int, ...]:
@@ -591,29 +640,23 @@ def replicate_application(
 
     Per-replication seeds come from :func:`replication_seeds`:
     ``seed=None`` means fresh entropy, an explicit seed is fully
-    reproducible. With a parallel ``backend`` (and the default runtime
-    availability model) the replications are split into
+    reproducible. With the default runtime availability model the
+    replications fan out over ``backend`` per
+    :func:`~repro.exec.fan_out_ranges`, as
     :class:`~repro.exec.tasks.ReplicateTask` chunks; because every
     replication carries its own pre-derived seed, the results are
-    identical to the serial loop.
+    identical to the in-process loop.
     """
     seeds = replication_seeds(seed, replications)
-    if (
-        backend is None
-        or isinstance(backend, SerialBackend)
-        or backend.workers <= 1
-        or replications < 2
-        or availability is not None
-    ):
+    ranges = (
+        fan_out_ranges(replications, backend) if availability is None else None
+    )
+    if backend is None or ranges is None:
         makespans = run_seeded_replications(
             app, group, technique, seeds,
             config=config, availability=availability,
         )
     else:
-        n_chunks = min(replications, backend.workers * 2)
-        bounds = [
-            (replications * k) // n_chunks for k in range(n_chunks + 1)
-        ]
         tasks = [
             ReplicateTask(
                 app=app,
@@ -622,8 +665,7 @@ def replicate_application(
                 seeds=seeds[lo:hi],
                 config=config,
             )
-            for lo, hi in zip(bounds, bounds[1:])
-            if hi > lo
+            for lo, hi in ranges
         ]
         makespans = tuple(
             m for chunk in backend.run_tasks(tasks) for m in chunk

@@ -8,11 +8,14 @@ and refreshes them between steps from the accumulated measurements
 (Cariño & Banicescu 2008).
 
 :func:`simulate_timestepped` runs ``n_timesteps`` successive executions of
-an application's loop on one persistent set of workers: availability
+an application's loop on one persistent set of workers, through the same
+driver as :func:`~repro.sim.loopsim.simulate_application`: availability
 processes continue across steps (a processor loaded in step 3 is still
 loaded when step 4 starts) and the per-worker
 :class:`~repro.dls.WorkerState` objects are carried from session to
-session, which is what lets AWF adapt.
+session, which is what lets AWF adapt. Crashes persist across steps too:
+a worker that crashed in one step runs neither the serial phase nor any
+chunk of a later step, and a crashed master fails over exactly once.
 """
 
 from __future__ import annotations
@@ -20,12 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..apps import Application
-from ..contracts import check_iteration_conservation, contracts_enabled
-from ..dls import DLSTechnique, WorkerState
+from ..dls import DLSTechnique
 from ..errors import SimulationError
-from ..faults import FaultInjector
 from ..system import AvailabilityModel, ProcessorGroup
-from .loopsim import LoopSimConfig, _build_workers, _pick_master, run_parallel_loop
+from .loopsim import LoopSimConfig, _run_steps
 from .results import ChunkRecord
 
 __all__ = ["TimestepResult", "TimesteppedRunResult", "simulate_timestepped"]
@@ -87,74 +88,30 @@ def simulate_timestepped(
 ) -> TimesteppedRunResult:
     """Run ``n_timesteps`` executions of the application's parallel loop.
 
-    The serial phase, if any, executes once at the start of every timestep
-    on the configured master (the loop body's sequential prologue).
-    Worker state — including every adaptive technique's measurements —
-    persists across timesteps.
+    The serial phase, if any, executes at the start of every timestep on
+    a live master (the loop body's sequential prologue). Worker state —
+    including every adaptive technique's measurements — persists across
+    timesteps.
     """
     if n_timesteps < 1:
         raise SimulationError(f"need >= 1 timestep, got {n_timesteps}")
-    config = config or LoopSimConfig()
-    workers = _build_workers(group, availability, config, seed)
-    type_name = group.ptype.name
-    par_model = app.parallel_iteration_model(type_name)
-    serial_model = (
-        app.serial_iteration_model(type_name) if config.include_serial else None
+    runs = _run_steps(
+        app, group, technique, n_timesteps,
+        seed=seed, config=config or LoopSimConfig(), availability=availability,
     )
-    states = [
-        WorkerState(
-            worker_id=w.worker_id,
-            relative_power=group.ptype.capacity
-            * group.ptype.expected_availability,
-        )
-        for w in workers
-    ]
-
-    # One injector spans the whole run: crash times are absolute wall
-    # clock, so a worker that died in step 3 is still dead in step 4
-    # (its crash time precedes every later step's events).
-    injector: FaultInjector | None = None
-    if config.faults is not None and not config.faults.is_zero:
-        injector = config.faults.realize(seed, group.size)
-
     steps: list[TimestepResult] = []
     crashed: list[int] = []
-    master_id: int | None = None
-    clock = 0.0
-    for step in range(n_timesteps):
-        start = clock
-        if serial_model is not None and app.n_serial > 0:
-            master = _pick_master(workers, config.master_policy, start)
-            master_id = master.worker_id
-            execution = master.execute_chunk(start, app.n_serial, serial_model)
-            loop_start = execution.finish_time
-        else:
-            loop_start = start
-        session = technique.session(app.n_parallel, states)
-        loop = run_parallel_loop(
-            workers, session, par_model, loop_start, config,
-            injector=injector, master_id=master_id,
-        )
-        if loop.executed != app.n_parallel:
-            raise SimulationError(
-                f"timestep {step}: executed {loop.executed} of {app.n_parallel}"
-            )
-        if contracts_enabled():
-            check_iteration_conservation(
-                loop.executed, app.n_parallel, loop.rescheduled
-            )
-        crashed.extend(w for w in loop.crashed if w not in crashed)
-        finish = max([loop_start, *(c.finish_time for c in loop.chunks)])
+    for index, (start, _, loop) in enumerate(runs):
+        crashed.extend(loop.crashed)
         steps.append(
             TimestepResult(
-                index=step,
+                index=index,
                 start_time=start,
-                finish_time=finish,
+                finish_time=loop.end_time,
                 chunks=tuple(loop.chunks),
                 rescheduled=loop.rescheduled,
             )
         )
-        clock = finish
     return TimesteppedRunResult(
         app_name=app.name,
         technique=technique.name,

@@ -2,14 +2,12 @@
 
 A :class:`SimWorker` couples a realized availability process with a seeded
 RNG stream. Executing a chunk of ``k`` iterations draws ``k`` dedicated
-iteration times, converts their sum into wall-clock time via the
-availability work-integral, and reports per-iteration *wall* times back for
-the adaptive DLS techniques (the measurement they adapt on).
+iteration times and converts them into wall-clock finish times via the
+availability work-integral; the simulator derives the per-iteration *wall*
+times the adaptive DLS techniques adapt on from those finish times.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,16 +15,7 @@ from ..apps import IterationTimeModel
 from ..errors import SimulationError
 from ..system import AvailabilityProcess
 
-__all__ = ["SimWorker", "ChunkExecution"]
-
-
-@dataclass(frozen=True)
-class ChunkExecution:
-    """Result of executing one chunk on one worker."""
-
-    finish_time: float
-    dedicated_time: float  # sum of drawn iteration times (availability-free)
-    iteration_wall_times: np.ndarray  # per-iteration wall-clock equivalents
+__all__ = ["SimWorker"]
 
 
 class SimWorker:
@@ -44,26 +33,20 @@ class SimWorker:
 
     def execute_chunk(
         self, start: float, n_iterations: int, model: IterationTimeModel
-    ) -> ChunkExecution:
+    ) -> np.ndarray:
         """Execute ``n_iterations`` starting at wall-clock ``start``.
 
-        The drawn iteration times are *dedicated* times (fully available
-        processor at reference capacity); the availability process converts
-        them into wall-clock time iteration by iteration, so iterations that
-        run while availability is low take proportionally longer — exactly
-        the signal the adaptive DLS techniques measure.
+        Returns the wall-clock finish time of each iteration, in order; the
+        last one is the chunk's finish. The drawn iteration times are
+        *dedicated* times (fully available processor at reference capacity);
+        the availability process converts them into wall-clock time
+        iteration by iteration, so iterations that run while availability
+        is low take proportionally longer — exactly the signal the adaptive
+        DLS techniques measure.
         """
         if n_iterations < 1:
             raise SimulationError(
                 f"chunk must contain at least one iteration, got {n_iterations}"
             )
         dedicated = model.draw(n_iterations, self.rng)
-        dedicated_total = float(dedicated.sum())
-        boundaries = self.availability.finish_times(start, np.cumsum(dedicated))
-        finish = float(boundaries[-1])
-        wall = np.diff(np.concatenate(([start], boundaries)))
-        return ChunkExecution(
-            finish_time=finish,
-            dedicated_time=dedicated_total,
-            iteration_wall_times=wall,
-        )
+        return self.availability.finish_times(start, np.cumsum(dedicated))

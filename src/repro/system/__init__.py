@@ -16,7 +16,6 @@ from .availability import (
     ConstantAvailability,
     ResampledAvailability,
     MarkovAvailability,
-    QuotaAvailability,
     TraceAvailability,
     quota_levels,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "ConstantAvailability",
     "ResampledAvailability",
     "MarkovAvailability",
-    "QuotaAvailability",
     "TraceAvailability",
     "quota_levels",
     "SharedLoadModulator",

@@ -9,7 +9,8 @@ t0`` with ``integral_{t0}^{t1} capacity * alpha(t) dt = w``.
 Models
 ------
 * :class:`ConstantAvailability` — fixed fraction (deterministic tests,
-  fully-dedicated systems).
+  fully-dedicated systems, and the per-processor levels of
+  :func:`quota_levels`).
 * :class:`ResampledAvailability` — availability redrawn iid from a PMF every
   ``interval`` time units. This realizes the paper's Table I cases at
   runtime: the PMF says which fractions occur with which long-run frequency.
@@ -110,10 +111,6 @@ class AvailabilityProcess:
         idx = int(np.searchsorted(self._ends, t, side="right"))
         idx = min(idx, len(self._levels) - 1)
         return self._levels[idx]
-
-    def rate_at(self, t: float) -> float:
-        """Effective compute rate ``capacity * alpha(t)``."""
-        return self._capacity * self.level_at(t)
 
     def finish_time(self, start: float, work: float) -> float:
         """Wall-clock completion time of ``work`` dedicated units from ``start``.
@@ -345,8 +342,10 @@ def quota_levels(pmf: PMF, n_processors: int) -> list[float]:
     Returns the per-processor levels sorted ascending (worst first).
 
     This is the alternative reading of the paper's Table I used by the
-    availability-model ablation; the default runtime model treats the PMF
-    as a temporal distribution instead (:class:`ResampledAvailability`).
+    availability-model ablation, which pins each processor with
+    ``[ConstantAvailability(level) for level in quota_levels(pmf, n)]``;
+    the default runtime model treats the PMF as a temporal distribution
+    instead (:class:`ResampledAvailability`).
     """
     if n_processors < 1:
         raise ModelError(f"need >= 1 processor, got {n_processors}")
@@ -367,36 +366,6 @@ def quota_levels(pmf: PMF, n_processors: int) -> list[float]:
     for level, count in zip(levels, counts):
         out.extend([float(level)] * int(count))
     return out
-
-
-@dataclass(frozen=True)
-class QuotaAvailability(AvailabilityModel):
-    """Constant availability at one of a group's quota levels.
-
-    Build the per-processor model list with :meth:`for_group`; each
-    processor's level is fixed for all time.
-    """
-
-    level: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.level <= 1.0:
-            raise ModelError(f"level must be in (0, 1], got {self.level}")
-
-    @classmethod
-    def for_group(cls, pmf: PMF, n_processors: int) -> list["QuotaAvailability"]:
-        """One constant model per processor, per the largest-remainder quota."""
-        return [cls(level) for level in quota_levels(pmf, n_processors)]
-
-    def spawn(self, rng=None, *, capacity: float = 1.0) -> AvailabilityProcess:
-        def gen():
-            while True:
-                yield (math.inf, self.level)
-
-        return AvailabilityProcess(gen(), capacity=capacity)
-
-    def expected_level(self) -> float:
-        return self.level
 
 
 @dataclass(frozen=True)

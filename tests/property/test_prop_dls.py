@@ -67,18 +67,22 @@ class TestDrainInvariants:
 @settings(max_examples=40, deadline=None)
 @given(sessions())
 def test_chunk_log_matches_dispatch(bundle):
+    """Recorded worker statistics account for exactly what was dispatched."""
     name, session, n_iter, n_workers = bundle
     total = 0
+    chunks = 0
     for round_ in range(100_000):
         wid = round_ % n_workers
         size = session.next_chunk(wid)
         if size:
             total += size
+            chunks += 1
             session.record(wid, size, np.full(size, 1.0))
         if session.remaining == 0 and size == 0:
             break
-    log_total = sum(s for _, s in session.chunk_log)
-    assert log_total == total == n_iter
+    states = session.workers.values()
+    assert sum(w.iterations_done for w in states) == total == n_iter
+    assert sum(w.chunks_done for w in states) == chunks
 
 
 @settings(max_examples=40, deadline=None)

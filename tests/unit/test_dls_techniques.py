@@ -366,6 +366,22 @@ class TestAWFFamily:
         assert n0 > n1
 
 
+    def test_weighted_iter_time_over_chunks(self):
+        """AWF's weighted average performance: chunk k weighs k."""
+        w = make_workers(1)[0]
+        session = AWFBatch().session(1000, [w])
+        feeds = [(4, 1.0, 6.0), (2, 3.0, 8.0), (3, 2.0, 12.0)]
+        for size, per_iter, chunk_time in feeds:
+            session.record(0, size, np.full(size, per_iter), chunk_time=chunk_time)
+        # Mean iteration times 1, 3, 2 weighted 1, 2, 3; chunk-time means
+        # 6/4, 8/2, 12/3 likewise.
+        assert w.weighted_iter_time() == pytest.approx((1 + 2 * 3 + 3 * 2) / 6)
+        assert w.weighted_iter_time(chunk_time=True) == pytest.approx(
+            (1.5 + 2 * 4.0 + 3 * 4.0) / 6
+        )
+        assert WorkerState(worker_id=1).weighted_iter_time() is None
+
+
 class TestAdaptiveFactoring:
     def test_pilot_chunks(self):
         session = AdaptiveFactoring(pilot_factor=8.0).session(
@@ -440,10 +456,12 @@ class TestSessionValidation:
             session.record(0, size, np.ones(size + 1))
 
     def test_chunk_log(self):
+        # The recorded per-worker statistics account for every dispatch.
         session = Factoring().session(64, make_workers(2))
-        drain(session, 2, feed=UNIFORM_FEED)
-        log = session.chunk_log
-        assert sum(size for _, size in log) == 64
+        chunks = drain(session, 2, feed=UNIFORM_FEED)
+        states = session.workers.values()
+        assert sum(w.iterations_done for w in states) == total(chunks) == 64
+        assert sum(w.chunks_done for w in states) == len(chunks)
 
     def test_worker_state_statistics(self):
         session = Factoring().session(64, make_workers(1))
@@ -453,7 +471,15 @@ class TestSessionValidation:
         assert w.iterations_done == size
         assert w.chunks_done == 1
         assert w.mean_iter_time == pytest.approx(2.0)
-        assert w.total_chunk_time == pytest.approx(size * 2.0 + 5.0)
+        assert w.weighted_iter_time() == pytest.approx(2.0)
+        assert w.weighted_iter_time(chunk_time=True) == pytest.approx(
+            (size * 2.0 + 5.0) / size
+        )
+
+    def test_record_empty_chunk_rejected(self):
+        session = Factoring().session(64, make_workers(1))
+        with pytest.raises(SchedulingError, match=">= 1 iteration"):
+            session.record(0, 0, np.empty(0))
 
     def test_worker_state_variance(self):
         session = Factoring().session(64, make_workers(1))

@@ -23,6 +23,7 @@ from repro.exec import (
     SerialBackend,
     Task,
     default_workers,
+    fan_out_ranges,
     get_backend,
     parse_workers,
 )
@@ -130,6 +131,35 @@ class TestSerialBackend:
     def test_context_manager(self):
         with SerialBackend() as backend:
             assert backend.workers == 1
+
+
+class TestFanOutRanges:
+    """The one rule for splitting a batch of items over a backend."""
+
+    def test_in_process_without_pool(self):
+        assert fan_out_ranges(100, None) is None
+        assert fan_out_ranges(100, SerialBackend()) is None
+        assert fan_out_ranges(100, ProcessPoolBackend(1)) is None
+
+    def test_in_process_below_two_items_per_worker(self):
+        backend = ProcessPoolBackend(4)  # lazy: no pool is started
+        assert fan_out_ranges(0, backend) is None
+        assert fan_out_ranges(7, backend) is None
+        assert fan_out_ranges(8, backend) == [(k, k + 1) for k in range(8)]
+
+    @pytest.mark.parametrize("n_items", [4, 5, 9, 10, 37, 1000])
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_ranges_tile_in_order(self, n_items, workers):
+        ranges = fan_out_ranges(n_items, ProcessPoolBackend(workers))
+        if n_items < 2 * workers:
+            assert ranges is None
+            return
+        assert len(ranges) == 2 * workers
+        assert ranges[0][0] == 0 and ranges[-1][1] == n_items
+        for (_, hi), (lo, _) in zip(ranges, ranges[1:]):
+            assert hi == lo
+        sizes = [hi - lo for lo, hi in ranges]
+        assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
 
 
 class TestTaskPickling:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.apps import Application, normal_exectime_model
 from repro.dls import ALL_TECHNIQUES, make_technique
 from repro.errors import SimulationError
 from repro.sim import (
@@ -63,12 +64,18 @@ class TestDeterministicExecution:
         )
         assert slow.makespan > fast.makespan
 
-    def test_no_serial_phase_option(self, tiny_app, group):
+    def test_no_serial_phase_option(self, group):
+        # An application without serial iterations runs no serial phase.
+        app = Application(
+            "loop-only", 0, 100,
+            normal_exectime_model({"fast": 100.0}, cv=0.0),
+            iteration_cv=0.0,
+        )
         result = simulate_application(
-            tiny_app, group, make_technique("STATIC"), seed=0,
-            config=LoopSimConfig(overhead=0.0, include_serial=False),
+            app, group, make_technique("STATIC"), seed=0, config=NO_OVERHEAD,
         )
         assert result.serial_time == 0.0
+        assert result.master_id is None
         assert result.makespan == pytest.approx(25.0)
 
     def test_chunk_records_ordered(self, tiny_app, group):

@@ -8,7 +8,6 @@ from repro.pmf import percent_availability
 from repro.system import (
     ConstantAvailability,
     MarkovAvailability,
-    QuotaAvailability,
     ResampledAvailability,
     TraceAvailability,
     quota_levels,
@@ -200,12 +199,14 @@ class TestQuota:
         assert np.mean(levels) == pytest.approx(type2_availability.mean(), abs=0.1)
 
     def test_for_group(self, type2_availability):
-        models = QuotaAvailability.for_group(type2_availability, 8)
-        assert [m.level for m in models] == quota_levels(type2_availability, 8)
+        # A group's quota models: one constant level per processor.
+        levels = quota_levels(type2_availability, 8)
+        models = [ConstantAvailability(level) for level in levels]
+        assert [m.expected_level() for m in models] == levels
         assert models[0].spawn().level_at(123.0) == 0.25
 
     def test_invalid(self, type2_availability):
         with pytest.raises(ModelError):
             quota_levels(type2_availability, 0)
         with pytest.raises(ModelError):
-            QuotaAvailability(0.0)
+            ConstantAvailability(0.0)
