@@ -17,6 +17,7 @@ Two views of execution time coexist, one per framework stage:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from collections.abc import Mapping
 
@@ -114,10 +115,14 @@ class IterationTimeModel:
     cv: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.mean <= 0:
-            raise ModelError(f"iteration mean time must be positive, got {self.mean}")
-        if self.cv < 0:
-            raise ModelError(f"iteration-time cv must be >= 0, got {self.cv}")
+        if not 0 < self.mean < math.inf:
+            raise ModelError(
+                f"iteration-time mean must be finite and positive, got {self.mean}"
+            )
+        if not 0 <= self.cv < math.inf:
+            raise ModelError(
+                f"iteration-time cv must be finite and >= 0, got {self.cv}"
+            )
 
     @property
     def variance(self) -> float:

@@ -218,9 +218,9 @@ class SchedulingSession(ABC):
         w = self._workers[worker_id]
         w.iterations_done += chunk_size
         w.chunks_done += 1
-        total = float(times.sum())
+        total = float(np.add.reduce(times))
         w.sum_t += total
-        w.sum_t2 += float((times * times).sum())
+        w.sum_t2 += float(np.add.reduce(times * times))
         k = w.chunks_done
         w.k_sum_t += k * (total / chunk_size)
         w.k_sum_chunk_t += k * (

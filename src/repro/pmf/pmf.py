@@ -187,8 +187,16 @@ class PMF:
     def sample(
         self, rng: np.random.Generator, size: int | None = None
     ) -> float | np.ndarray:
-        """Draw iid samples from the PMF."""
-        return rng.choice(self._values, size=size, p=self._probs)
+        """Draw iid samples from the PMF.
+
+        Inverse-CDF sampling: the arithmetic and the single ``rng.random``
+        draw of ``rng.choice(values, size=size, p=probs)``, without its
+        argument checks (the constructor guarantees valid probabilities),
+        so the samples and the generator's state match it bit for bit.
+        """
+        cdf = self._probs.cumsum()
+        cdf /= cdf[-1]
+        return self._values[cdf.searchsorted(rng.random(size), side="right")]
 
     # ------------------------------------------------------------ structural
 

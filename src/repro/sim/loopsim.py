@@ -15,8 +15,9 @@ full availability slows down if availability drops mid-chunk.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,8 +63,9 @@ class LoopSimConfig:
     """Simulator knobs shared by all stage-II experiments.
 
     ``availability_interval`` is the piecewise-constant re-sampling period
-    of the runtime availability processes (in the application's time units);
-    ``overhead`` the per-chunk dispatch cost. Both default to values that
+    of the runtime availability processes (in the application's time units;
+    ``inf`` draws each processor's level once); ``overhead`` the finite
+    per-chunk dispatch cost. Both default to values that
     are small relative to the paper example's ~10^3-unit makespans.
 
     ``master_policy`` selects the group processor executing the serial
@@ -87,11 +89,14 @@ class LoopSimConfig:
     faults: FaultPlan | None = None
 
     def __post_init__(self) -> None:
-        if self.overhead < 0:
-            raise SimulationError(f"overhead must be >= 0, got {self.overhead}")
-        if self.availability_interval <= 0:
+        if not 0 <= self.overhead < math.inf:
             raise SimulationError(
-                f"availability interval must be > 0, got {self.availability_interval}"
+                f"overhead must be finite and >= 0, got {self.overhead}"
+            )
+        if not self.availability_interval > 0:  # also rejects NaN
+            raise SimulationError(
+                "availability_interval must be > 0, "
+                f"got {self.availability_interval}"
             )
         if self.master_policy not in ("first", "best-available"):
             raise SimulationError(
@@ -167,7 +172,7 @@ class ParallelLoopResult:
         return max(self.finish_times.values())
 
 
-@dataclass
+@dataclass(slots=True)
 class _InFlight:
     """One dispatched chunk awaiting its completion (or crash) event."""
 
@@ -176,7 +181,7 @@ class _InFlight:
     chunk_time: float
     finish: float
     record: ChunkRecord
-    lost: bool = field(default=False)
+    lost: bool = False
 
 
 def _chunk_event(record: ChunkRecord) -> None:
@@ -354,7 +359,9 @@ def run_parallel_loop(
         start = now + config.overhead
         ends = worker.execute_chunk(start, size, par_model)
         finish = float(ends[-1])
-        wall_times = np.diff(np.concatenate(([start], ends)))
+        wall_times = np.empty(size)
+        wall_times[0] = ends[0] - start
+        np.subtract(ends[1:], ends[:-1], out=wall_times[1:])
         if injector is not None:
             boundaries = start + np.cumsum(wall_times)
             adjusted, applied = degraded_boundaries(

@@ -49,4 +49,4 @@ class SimWorker:
                 f"chunk must contain at least one iteration, got {n_iterations}"
             )
         dedicated = model.draw(n_iterations, self.rng)
-        return self.availability.finish_times(start, np.cumsum(dedicated))
+        return self.availability.finish_times(start, dedicated.cumsum())

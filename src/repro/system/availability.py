@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,13 @@ __all__ = [
 ]
 
 _EPS = 1e-12
+
+
+def _check_start(start: float) -> None:
+    if not 0 <= start < math.inf:
+        raise SimulationError(
+            f"start time must be finite and non-negative, got {start}"
+        )
 
 
 class AvailabilityProcess:
@@ -90,7 +98,7 @@ class AvailabilityProcess:
                 raise SimulationError(
                     "availability generator exhausted before simulation end"
                 ) from exc
-            if duration <= 0:
+            if not duration > 0:  # also rejects NaN
                 raise SimulationError(
                     f"availability segment duration must be positive, got {duration}"
                 )
@@ -104,12 +112,11 @@ class AvailabilityProcess:
             self._arrays = None
 
     def level_at(self, t: float) -> float:
-        """Availability fraction in effect at time ``t`` (>= 0)."""
-        if t < 0:
-            raise SimulationError(f"time must be non-negative, got {t}")
+        """Availability fraction in effect at time ``t`` (finite, >= 0)."""
+        if not 0 <= t < math.inf:
+            raise SimulationError(f"time t must be finite and non-negative, got {t}")
         self._extend_to(t)
-        idx = int(np.searchsorted(self._ends, t, side="right"))
-        idx = min(idx, len(self._levels) - 1)
+        idx = min(bisect_right(self._ends, t), len(self._levels) - 1)
         return self._levels[idx]
 
     def finish_time(self, start: float, work: float) -> float:
@@ -117,16 +124,15 @@ class AvailabilityProcess:
 
         Solves ``integral rate dt = work`` by stepping through segments.
         """
-        if start < 0:
-            raise SimulationError(f"start time must be non-negative, got {start}")
-        if work < 0:
-            raise SimulationError(f"work must be non-negative, got {work}")
+        _check_start(start)
+        if not 0 <= work < math.inf:
+            raise SimulationError(f"work must be finite and non-negative, got {work}")
         if work == 0:
             return start
         t = start
         remaining = work
         self._extend_to(t)
-        idx = int(np.searchsorted(self._ends, t, side="right"))
+        idx = bisect_right(self._ends, t)
         while True:
             if idx >= len(self._levels):
                 self._extend_to(self._ends[-1] if self._ends else 0.0)
@@ -149,15 +155,30 @@ class AvailabilityProcess:
         of per-iteration dedicated times); returns the wall-clock time at
         which each cumulative amount completes. Used to attribute a chunk's
         elapsed time to its individual iterations.
+
+        A chunk that completes inside the segment holding ``start`` (most
+        chunks, when segments are long) skips the segment search: it is the
+        general formula below with every segment index 0, so the result is
+        bit-for-bit the same.
         """
         works = np.asarray(cumulative_works, dtype=np.float64)
         if works.size == 0:
             return np.empty(0)
-        if np.any(np.diff(works) < 0):
+        if (works[1:] < works[:-1]).any():
             raise SimulationError("cumulative_works must be non-decreasing")
         if works[0] < 0:
             raise SimulationError("cumulative work must be non-negative")
+        _check_start(start)
         total = float(works[-1])
+        if not 0 <= total < math.inf:
+            raise SimulationError(
+                f"cumulative work must be finite and non-negative, got {total}"
+            )
+        self._extend_to(start)
+        k = bisect_right(self._ends, start)
+        rate = self._capacity * self._levels[k]
+        if total <= rate * (self._ends[k] - start):
+            return start + works / rate
         # Materialize segments through the overall finish.
         overall_finish = self.finish_time(start, total)
         self._extend_to(overall_finish)
@@ -184,7 +205,7 @@ class AvailabilityProcess:
         self._extend_to(t1)
         total = 0.0
         t = t0
-        idx = int(np.searchsorted(self._ends, t, side="right"))
+        idx = bisect_right(self._ends, t)
         while t < t1 - _EPS:
             seg_end = min(self._ends[idx], t1)
             total += self._capacity * self._levels[idx] * (seg_end - t)
@@ -252,7 +273,7 @@ class ResampledAvailability(AvailabilityModel):
             raise ModelError(
                 f"availability PMF support must be in (0, 1], got [{lo}, {hi}]"
             )
-        if self.interval <= 0:
+        if not self.interval > 0:  # also rejects NaN
             raise ModelError(f"interval must be positive, got {self.interval}")
 
     def spawn(self, rng=None, *, capacity: float = 1.0) -> AvailabilityProcess:

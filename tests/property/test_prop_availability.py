@@ -1,9 +1,13 @@
 """Property-based tests of availability processes (hypothesis)."""
 
+import math
+from bisect import bisect_right
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import SimulationError
 from repro.pmf import PMF
 from repro.system import (
     ConstantAvailability,
@@ -89,6 +93,87 @@ def test_vectorized_finish_times_match_scalar(proc, start, n):
     for k in (0, n // 2, n - 1):
         scalar = proc.finish_time(start, float(works[k]))
         assert abs(vec[k] - scalar) < 1e-6 * max(1.0, scalar)
+
+
+def segment_search_finish_times(proc, start, works):
+    """``finish_times`` by the segment search alone (no single-segment path).
+
+    A copy of the general formula: materialize the timeline through the
+    overall finish, accumulate the work each segment from ``start`` on
+    delivers, and place every target in the segment where it completes.
+    """
+    proc._extend_to(proc.finish_time(start, float(works[-1])))
+    ends = np.asarray(proc._ends)
+    rates = proc.capacity * np.asarray(proc._levels)
+    first = int(np.searchsorted(ends, start, side="right"))
+    seg_ends = ends[first:]
+    seg_rates = rates[first:]
+    starts = np.concatenate(([start], seg_ends[:-1]))
+    cum_work = np.concatenate(([0.0], np.cumsum(seg_rates * (seg_ends - starts))))
+    idx = np.searchsorted(cum_work[1:], works, side="left")
+    idx = np.minimum(idx, len(seg_rates) - 1)
+    return starts[idx] + (works - cum_work[idx]) / seg_rates[idx]
+
+
+@st.composite
+def chunk_queries(draw):
+    """A process, a start time and cumulative works for ``finish_times``.
+
+    Besides free draws, covers the single-segment path's edges: a start
+    exactly on a segment end, a total exactly equal to the work left in
+    the start's segment (and one ulp above it), and a zero first work.
+    """
+    proc = draw(processes())
+    start = draw(st.floats(0.0, 100.0))
+    edge = draw(st.sampled_from(["free", "on-end", "fills", "overfills"]))
+    if edge == "on-end":
+        proc.level_at(start)
+        ends = [e for e in proc._ends if math.isfinite(e)]
+        assume(ends)
+        start = draw(st.sampled_from(ends))
+    if edge in ("fills", "overfills"):
+        proc.level_at(start)
+        k = bisect_right(proc._ends, start)
+        left = proc.capacity * proc._levels[k] * (proc._ends[k] - start)
+        assume(math.isfinite(left))
+        total = left if edge == "fills" else math.nextafter(left, math.inf)
+    else:
+        total = draw(st.floats(0.0, 200.0))
+    fracs = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30)))
+    if draw(st.booleans()):
+        fracs[0] = 0.0
+    works = np.array([f * total for f in fracs])
+    works[-1] = total
+    return proc, start, works
+
+
+@settings(max_examples=300, deadline=None)
+@given(chunk_queries())
+def test_finish_times_equal_segment_search(query):
+    proc, start, works = query
+    got = proc.finish_times(start, works)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, segment_search_finish_times(proc, start, works))
+
+
+_ODD_FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, 0.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_ODD_FLOATS, min_size=1, max_size=8))
+def test_decreasing_check_matches_diff_verdict(values):
+    # finish_times' pairwise comparison must reject exactly the inputs
+    # ``np.any(np.diff(works) < 0)`` rejects, including inf and NaN.
+    works = np.array(values)
+    with np.errstate(invalid="ignore", over="ignore"):
+        decreasing = bool(np.any(np.diff(works) < 0))
+    try:
+        ConstantAvailability(1.0).spawn().finish_times(0.0, works)
+    except SimulationError as exc:
+        rejected = "non-decreasing" in str(exc)
+    else:
+        rejected = False
+    assert rejected == decreasing
 
 
 @settings(max_examples=60, deadline=None)

@@ -85,6 +85,22 @@ class TestInvariants:
         assert abs(t.mean() - pmf.mean()) < 1e-6 * max(1.0, abs(pmf.mean()))
         assert len(t) <= max(k, 1)
 
+    @given(
+        pmfs(),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([None, 1, 7, 100, (2, 3)]),
+    )
+    def test_sample_matches_generator_choice(self, pmf, seed, size):
+        # Same draws, same types and the same generator state afterwards
+        # as numpy's own weighted choice.
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = pmf.sample(ours, size)
+        want = theirs.choice(pmf.values, size=size, p=pmf.probs)
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
 
 class TestAlgebraLaws:
     @given(pmfs(), pmfs())

@@ -1,5 +1,7 @@
 """Unit tests of application models (repro.apps.exectime, .application)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,16 @@ class TestIterationTimeModel:
             IterationTimeModel(mean=1.0, cv=-0.5)
         with pytest.raises(ModelError):
             IterationTimeModel(mean=1.0).draw(-1)
+
+    @pytest.mark.parametrize("mean", [math.nan, math.inf])
+    def test_non_finite_mean_rejected(self, mean):
+        with pytest.raises(ModelError, match="mean"):
+            IterationTimeModel(mean=mean)
+
+    @pytest.mark.parametrize("cv", [math.nan, math.inf])
+    def test_non_finite_cv_rejected(self, cv):
+        with pytest.raises(ModelError, match="cv"):
+            IterationTimeModel(mean=1.0, cv=cv)
 
     def test_variance_property(self):
         m = IterationTimeModel(mean=4.0, cv=0.25)

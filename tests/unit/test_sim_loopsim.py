@@ -1,5 +1,7 @@
 """Unit tests of the loop-scheduling simulation (repro.sim.loopsim)."""
 
+import math
+
 import pytest
 
 from repro.apps import Application, normal_exectime_model
@@ -277,6 +279,15 @@ class TestConfigValidation:
     def test_bad_interval(self):
         with pytest.raises(SimulationError):
             LoopSimConfig(availability_interval=0.0)
+
+    @pytest.mark.parametrize("overhead", [math.nan, math.inf])
+    def test_non_finite_overhead_rejected(self, overhead):
+        with pytest.raises(SimulationError, match="overhead"):
+            LoopSimConfig(overhead=overhead)
+
+    def test_nan_interval_rejected(self):
+        with pytest.raises(SimulationError, match="availability_interval"):
+            LoopSimConfig(availability_interval=math.nan)
 
     def test_bad_master_policy(self):
         with pytest.raises(SimulationError):

@@ -1,11 +1,14 @@
 """Unit tests of runtime availability processes (repro.system.availability)."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.errors import ModelError, SimulationError
 from repro.pmf import percent_availability
 from repro.system import (
+    AvailabilityProcess,
     ConstantAvailability,
     MarkovAvailability,
     ResampledAvailability,
@@ -84,6 +87,8 @@ class TestResampled:
     def test_invalid_interval(self, type2_availability):
         with pytest.raises(ModelError):
             ResampledAvailability(type2_availability, interval=0.0)
+        with pytest.raises(ModelError, match="interval"):
+            ResampledAvailability(type2_availability, interval=math.nan)
 
     def test_bad_pmf_support(self):
         bad = percent_availability([(50, 100)]).map_values(lambda v: v + 1.0)
@@ -113,6 +118,62 @@ class TestFinishTimesVectorized:
         proc = ConstantAvailability(1.0).spawn()
         with pytest.raises(SimulationError):
             proc.finish_times(0.0, np.array([2.0, 1.0]))
+
+    def test_negative_start_rejected(self):
+        proc = ConstantAvailability(1.0).spawn()
+        with pytest.raises(SimulationError, match="start"):
+            proc.finish_times(-1.0, np.array([1.0, 2.0]))
+
+    def test_single_segment_chunk_skips_scalar_walk(
+        self, type2_availability, monkeypatch
+    ):
+        proc = ResampledAvailability(type2_availability, interval=1000.0).spawn(3)
+        walks = []
+
+        def counting_walk(start, work):
+            walks.append(work)
+            return AvailabilityProcess.finish_time(proc, start, work)
+
+        monkeypatch.setattr(proc, "finish_time", counting_walk)
+        proc.finish_times(10.0, np.cumsum(np.full(5, 1.0)))
+        assert walks == []
+        proc.finish_times(10.0, np.array([1.0, 5000.0]))
+        assert walks == [5000.0]
+
+
+class TestNonFiniteRejected:
+    """Non-finite times and work raise instead of looping forever."""
+
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_level_at(self, t):
+        with pytest.raises(SimulationError, match="time t"):
+            ConstantAvailability(0.5).spawn().level_at(t)
+
+    @pytest.mark.parametrize("work", [math.inf, math.nan])
+    def test_finish_time_work(self, work):
+        with pytest.raises(SimulationError, match="work"):
+            ConstantAvailability(0.5).spawn().finish_time(0.0, work)
+
+    @pytest.mark.parametrize("start", [math.inf, math.nan])
+    def test_finish_time_start(self, start):
+        with pytest.raises(SimulationError, match="start"):
+            ConstantAvailability(0.5).spawn().finish_time(start, 1.0)
+
+    @pytest.mark.parametrize("last", [math.inf, math.nan])
+    def test_finish_times_work(self, type2_availability, last):
+        proc = ResampledAvailability(type2_availability, interval=10.0).spawn(1)
+        with pytest.raises(SimulationError, match="work"):
+            proc.finish_times(0.0, np.array([1.0, last]))
+
+    @pytest.mark.parametrize("start", [math.inf, math.nan])
+    def test_finish_times_start(self, start):
+        with pytest.raises(SimulationError, match="start"):
+            ConstantAvailability(0.5).spawn().finish_times(start, np.array([1.0]))
+
+    def test_nan_segment_duration(self):
+        proc = AvailabilityProcess(iter([(math.nan, 0.5)]))
+        with pytest.raises(SimulationError, match="duration"):
+            proc.level_at(0.0)
 
 
 class TestMarkov:
