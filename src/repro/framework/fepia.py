@@ -120,7 +120,7 @@ def per_type_radius(
     Types not hosting any allocated group have infinite radius; they are
     reported as :data:`MAX_DECREASE`.
     """
-    if deadline <= 0:
+    if not deadline > 0:
         raise ModelError(f"deadline must be positive, got {deadline}")
     if type_name not in {t.name for t in system.types}:
         raise ModelError(f"unknown processor type {type_name!r}")

@@ -110,7 +110,7 @@ class MultiBatchScheduler:
         sim: LoopSimConfig | None = None,
         seed: int | None = None,
     ) -> None:
-        if deadline <= 0:
+        if not deadline > 0:
             raise ModelError(f"deadline must be positive, got {deadline}")
         self._system = system
         self._heuristic = heuristic

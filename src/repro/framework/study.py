@@ -77,7 +77,7 @@ class StudyConfig:
     sim: LoopSimConfig = field(default_factory=LoopSimConfig)
 
     def __post_init__(self) -> None:
-        if self.deadline <= 0:
+        if not self.deadline > 0:
             raise ModelError(f"deadline must be positive, got {self.deadline}")
         if self.replications < 1:
             raise ModelError(

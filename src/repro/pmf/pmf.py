@@ -14,6 +14,7 @@ operations return new instances.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterable, Iterator
 
 import numpy as np
@@ -161,10 +162,13 @@ class PMF:
         return float(np.sqrt(self.var()))
 
     def cdf(self, x: float | np.ndarray) -> float | np.ndarray:
-        """``Pr(X <= x)``, vectorized over ``x``."""
+        """``Pr(X <= x)``, vectorized over ``x``; a NaN ``x`` is rejected."""
+        xs = np.asarray(x, dtype=np.float64)
+        # searchsorted sorts NaN last, so a NaN would read as Pr = 1.
+        if (np.isnan(xs).any() if xs.ndim else math.isnan(xs)):
+            raise PMFError(f"cdf argument x must not be NaN, got {x!r}")
         cum = np.minimum(np.cumsum(self._probs), 1.0)
-        idx = np.searchsorted(self._values, np.asarray(x, dtype=np.float64),
-                              side="right")
+        idx = np.searchsorted(self._values, xs, side="right")
         out = np.where(idx > 0, cum[np.minimum(idx, len(cum)) - 1], 0.0)
         out = np.where(idx == 0, 0.0, out)
         if np.isscalar(x) or np.ndim(x) == 0:

@@ -13,7 +13,7 @@ from .allocation import (
     others_can_complete,
 )
 from .robustness import StageIEvaluator, AllocationReport, completion_pmf
-from .base import RAHeuristic, RAResult
+from .base import RAHeuristic, RAResult, SearchSpace
 from .naive import EqualShareAllocator
 from .exhaustive import ExhaustiveAllocator
 from .branchbound import BranchAndBoundAllocator
@@ -51,6 +51,7 @@ __all__ = [
     "completion_pmf",
     "RAHeuristic",
     "RAResult",
+    "SearchSpace",
     "EqualShareAllocator",
     "ExhaustiveAllocator",
     "BranchAndBoundAllocator",

@@ -7,7 +7,8 @@ paper's constraints (§IV): every application must be assigned, to a
 one type must fit within that type's processor count.
 
 :func:`candidate_assignments` and :func:`enumerate_allocations` define the
-search space shared by all RA heuristics.
+search space shared by all RA heuristics; the incremental heuristics reach
+them through :class:`~repro.ra.base.SearchSpace`.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ __all__ = [
     "enumerate_allocations",
     "powers_of_two_upto",
     "others_can_complete",
+    "type_usage",
 ]
 
 
@@ -64,12 +66,20 @@ def powers_of_two_upto(n: int) -> list[int]:
     return out
 
 
+def type_usage(groups: Iterable[ProcessorGroup]) -> dict[str, int]:
+    """Processors used per type name, in order of each type's first group."""
+    usage: dict[str, int] = {}
+    for group in groups:
+        usage[group.ptype.name] = usage.get(group.ptype.name, 0) + group.size
+    return usage
+
+
 class Allocation:
     """Immutable mapping ``application name -> ProcessorGroup``.
 
-    Validates against a system and batch: all applications assigned, known
-    type names, per-type capacity respected, and (optionally) power-of-2
-    group sizes.
+    Validates power-of-2 group sizes and, against a system and batch, that
+    all applications are assigned, type names are known, and per-type
+    capacity is respected.
     """
 
     def __init__(
@@ -78,18 +88,16 @@ class Allocation:
         *,
         system: HeterogeneousSystem | None = None,
         batch: Batch | None = None,
-        require_power_of_two: bool = True,
     ) -> None:
         self._groups = dict(groups)
         if not self._groups:
             raise AllocationError("an allocation must assign at least one application")
-        if require_power_of_two:
-            for app_name, group in self._groups.items():
-                if group.size & (group.size - 1):
-                    raise AllocationError(
-                        f"application {app_name!r} assigned {group.size} "
-                        "processors; the model requires a power-of-2 count"
-                    )
+        for app_name, group in self._groups.items():
+            if group.size & (group.size - 1):
+                raise AllocationError(
+                    f"application {app_name!r} assigned {group.size} "
+                    "processors; the model requires a power-of-2 count"
+                )
         if batch is not None:
             missing = set(batch.names) - set(self._groups)
             if missing:
@@ -103,10 +111,7 @@ class Allocation:
                     f"allocation references unknown applications: {sorted(extra)}"
                 )
         if system is not None:
-            usage: dict[str, int] = {}
-            for group in self._groups.values():
-                usage[group.ptype.name] = usage.get(group.ptype.name, 0) + group.size
-            for type_name, used in usage.items():
+            for type_name, used in type_usage(self._groups.values()).items():
                 cap = system.type(type_name).count
                 if used > cap:
                     raise AllocationError(
@@ -138,10 +143,7 @@ class Allocation:
 
     def usage(self) -> dict[str, int]:
         """Processors used per type name."""
-        out: dict[str, int] = {}
-        for group in self._groups.values():
-            out[group.ptype.name] = out.get(group.ptype.name, 0) + group.size
-        return out
+        return type_usage(self._groups.values())
 
     def total_processors(self) -> int:
         """``sum_i max_i`` — all processors allocated across applications."""
@@ -175,28 +177,20 @@ class Allocation:
 
 
 def candidate_assignments(
-    app_name: str,
-    batch: Batch,
-    system: HeterogeneousSystem,
-    *,
-    power_of_two: bool = True,
+    app_name: str, batch: Batch, system: HeterogeneousSystem
 ) -> list[ProcessorGroup]:
-    """All single-type groups an application could receive (ignoring others).
+    """All power-of-2 single-type groups an application could receive.
 
-    Only processor types for which the application has an execution-time PMF
-    are considered.
+    Other applications are ignored. Only processor types for which the
+    application has an execution-time PMF are considered.
     """
     app = batch.app(app_name)
     groups: list[ProcessorGroup] = []
     for ptype in system.types:
-        if not app.exec_time.supports(ptype.name):
-            continue
-        sizes = (
-            powers_of_two_upto(ptype.count)
-            if power_of_two
-            else list(range(1, ptype.count + 1))
-        )
-        groups.extend(ProcessorGroup(ptype, n) for n in sizes)
+        if app.exec_time.supports(ptype.name):
+            groups.extend(
+                ProcessorGroup(ptype, n) for n in powers_of_two_upto(ptype.count)
+            )
     if not groups:
         raise InfeasibleAllocationError(
             f"application {app_name!r} cannot run on any processor type "
@@ -209,23 +203,23 @@ def enumerate_allocations(
     batch: Batch,
     system: HeterogeneousSystem,
     *,
-    power_of_two: bool = True,
     sizes_filter: Iterable[int] | None = None,
 ) -> Iterator[Allocation]:
-    """Yield every feasible complete allocation (backtracking search).
+    """Every feasible complete allocation, lazily (backtracking search).
 
     ``sizes_filter`` restricts group sizes (e.g. ``{4}`` for the naive
-    equal-share allocator). The number of allocations grows exponentially in
-    the batch size; this enumerator is intended for small instances and as
-    the ground truth that scalable heuristics are compared against.
+    equal-share allocator). An application left without any candidate group
+    raises ``InfeasibleAllocationError`` at the call, before iteration
+    starts. The number of allocations grows exponentially in the batch
+    size; this enumerator is intended for small instances and as the ground
+    truth that scalable heuristics are compared against.
     """
     names = batch.names
     sizes_allowed = set(sizes_filter) if sizes_filter is not None else None
-    remaining0 = {t.name: t.count for t in system.types}
 
     candidates_per_app = []
     for name in names:
-        cands = candidate_assignments(name, batch, system, power_of_two=power_of_two)
+        cands = candidate_assignments(name, batch, system)
         if sizes_allowed is not None:
             cands = [g for g in cands if g.size in sizes_allowed]
         if not cands:
@@ -239,12 +233,7 @@ def enumerate_allocations(
 
     def backtrack(i: int, remaining: dict[str, int]) -> Iterator[Allocation]:
         if i == len(names):
-            yield Allocation(
-                dict(assignment),
-                system=system,
-                batch=batch,
-                require_power_of_two=power_of_two,
-            )
+            yield Allocation(dict(assignment), system=system, batch=batch)
             return
         name = names[i]
         for group in candidates_per_app[i]:
@@ -256,4 +245,4 @@ def enumerate_allocations(
             remaining[group.ptype.name] += group.size
             del assignment[name]
 
-    yield from backtrack(0, dict(remaining0))
+    return backtrack(0, {t.name: t.count for t in system.types})

@@ -21,8 +21,7 @@ import numpy as np
 from ..exec import ExecutionBackend
 from ..rng import ensure_rng
 from ..system import ProcessorGroup
-from .allocation import Allocation, candidate_assignments
-from .base import RAHeuristic, RAResult
+from .base import RAHeuristic, RAResult, SearchSpace
 from .greedy import GreedyRobustAllocator
 from .robustness import StageIEvaluator
 
@@ -54,22 +53,22 @@ class AnnealingAllocator(RAHeuristic):
         initial_temperature: float = 0.05,
         cooling: float = 0.995,
         restarts: int = 2,
-        power_of_two: bool = True,
         rng=None,
     ) -> None:
         if iterations < 1:
             raise ValueError("iterations must be >= 1")
         if not 0 < cooling < 1:
             raise ValueError("cooling must be in (0, 1)")
-        if initial_temperature <= 0:
-            raise ValueError("initial_temperature must be positive")
+        if not initial_temperature > 0:
+            raise ValueError(
+                f"initial_temperature must be positive, got {initial_temperature}"
+            )
         if restarts < 1:
             raise ValueError("restarts must be >= 1")
         self._iterations = iterations
         self._t0 = initial_temperature
         self._cooling = cooling
         self._restarts = restarts
-        self._power_of_two = power_of_two
         self._rng = rng
 
     # ------------------------------------------------------------------ core
@@ -84,36 +83,26 @@ class AnnealingAllocator(RAHeuristic):
         # on the previous state), so ``backend`` only reaches the greedy
         # seeding; scoring still shares the evaluator's memoization.
         gen = ensure_rng(self._rng)
-        batch, system = evaluator.batch, evaluator.system
-        names = list(batch.names)
-        candidates = {
-            name: candidate_assignments(
-                name, batch, system, power_of_two=self._power_of_two
-            )
-            for name in names
-        }
-        counts = {t.name: t.count for t in system.types}
+        space = SearchSpace(evaluator)
         evaluations = 0
 
         # Start from the greedy solution: annealing then only has to improve.
-        start = GreedyRobustAllocator(power_of_two=self._power_of_two).allocate(
-            evaluator, backend=backend
-        )
+        start = GreedyRobustAllocator().allocate(evaluator, backend=backend)
         evaluations += start.evaluations
-        best_state = {name: start.allocation.group(name) for name in names}
+        best_state = {name: start.allocation.group(name) for name in space.names}
         best_rob = start.robustness
 
         for _ in range(self._restarts):
             state = dict(best_state)
-            state_rob = self._rob(evaluator, state)
+            state_rob = evaluator.joint_probability(state)
             evaluations += 1
             temperature = self._t0
             for _ in range(self._iterations):
-                neighbor = self._neighbor(state, names, candidates, counts, gen)
+                neighbor = self._neighbor(state, space, gen)
                 if neighbor is None:
                     temperature *= self._cooling
                     continue
-                rob = self._rob(evaluator, neighbor)
+                rob = evaluator.joint_probability(neighbor)
                 evaluations += 1
                 delta = rob - state_rob
                 if delta >= 0 or gen.random() < math.exp(delta / temperature):
@@ -122,41 +111,18 @@ class AnnealingAllocator(RAHeuristic):
                         best_state, best_rob = dict(state), state_rob
                 temperature *= self._cooling
 
-        allocation = Allocation(
-            best_state,
-            system=system,
-            batch=batch,
-            require_power_of_two=self._power_of_two,
-        )
-        return RAResult(
-            allocation=allocation,
-            robustness=best_rob,
-            heuristic=self.name,
-            evaluations=evaluations,
-        )
+        return space.result(self.name, best_state, evaluations, best_rob)
 
     # -------------------------------------------------------------- internals
 
     @staticmethod
-    def _rob(evaluator: StageIEvaluator, state: dict[str, ProcessorGroup]) -> float:
-        return evaluator.joint_probability(state)
-
-    @staticmethod
-    def _feasible(state: dict[str, ProcessorGroup], counts: dict[str, int]) -> bool:
-        usage: dict[str, int] = {}
-        for group in state.values():
-            usage[group.ptype.name] = usage.get(group.ptype.name, 0) + group.size
-        return all(used <= counts[t] for t, used in usage.items())
-
     def _neighbor(
-        self,
         state: dict[str, ProcessorGroup],
-        names: list[str],
-        candidates: dict[str, list[ProcessorGroup]],
-        counts: dict[str, int],
+        space: SearchSpace,
         gen: np.random.Generator,
     ) -> dict[str, ProcessorGroup] | None:
         """One random feasible move, or None if the draw was infeasible."""
+        names, candidates = space.names, space.candidates
         move = gen.integers(3)
         new = dict(state)
         if move == 0:  # resize one application
@@ -197,6 +163,6 @@ class AnnealingAllocator(RAHeuristic):
             ):
                 return None
             new[a], new[b] = gb, ga
-        if not self._feasible(new, counts):
+        if not space.fits(new):
             return None
         return new

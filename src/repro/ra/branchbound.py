@@ -18,8 +18,7 @@ from __future__ import annotations
 from ..errors import InfeasibleAllocationError
 from ..exec import ExecutionBackend
 from ..system import ProcessorGroup
-from .allocation import Allocation, candidate_assignments, others_can_complete
-from .base import RAHeuristic, RAResult
+from .base import RAHeuristic, RAResult, SearchSpace
 from .greedy import GreedyRobustAllocator
 from .robustness import StageIEvaluator
 
@@ -40,10 +39,7 @@ class BranchAndBoundAllocator(RAHeuristic):
 
     name = "branch-and-bound"
 
-    def __init__(
-        self, *, power_of_two: bool = True, max_nodes: int = 5_000_000
-    ) -> None:
-        self._power_of_two = power_of_two
+    def __init__(self, *, max_nodes: int = 5_000_000) -> None:
         self._max_nodes = max_nodes
 
     def allocate(
@@ -55,31 +51,22 @@ class BranchAndBoundAllocator(RAHeuristic):
         # The pruned DFS is sequential by nature (the incumbent steers
         # the pruning); ``backend`` only reaches the greedy incumbent
         # seeding below.
-        batch, system = evaluator.batch, evaluator.system
-        names = list(batch.names)
+        space = SearchSpace(evaluator)
+        names = space.names
         candidates: dict[str, list[tuple[float, ProcessorGroup]]] = {}
         evaluations = 0
-        for name in names:
-            groups = candidate_assignments(
-                name, batch, system, power_of_two=self._power_of_two
-            )
-            scored = sorted(
+        for name, groups in space.candidates.items():
+            candidates[name] = sorted(
                 ((evaluator.app_deadline_prob(name, g), g) for g in groups),
                 key=lambda pg: (-pg[0], pg[1].size),
             )
             evaluations += len(groups)
-            candidates[name] = scored
         best_possible = {name: candidates[name][0][0] for name in names}
-        supported = {
-            name: {g.ptype.name for _, g in candidates[name]} for name in names
-        }
         # Hardest first: constrained applications prune earlier.
         order = sorted(names, key=lambda n: best_possible[n])
 
         # Incumbent: the greedy solution (a valid lower bound).
-        seed = GreedyRobustAllocator(power_of_two=self._power_of_two).allocate(
-            evaluator, backend=backend
-        )
+        seed = GreedyRobustAllocator().allocate(evaluator, backend=backend)
         evaluations += seed.evaluations
         incumbent = {n: seed.allocation.group(n) for n in names}
         incumbent_value = seed.robustness
@@ -89,7 +76,7 @@ class BranchAndBoundAllocator(RAHeuristic):
         for i in range(len(order) - 1, -1, -1):
             suffix[i] = suffix[i + 1] * best_possible[order[i]]
 
-        remaining = {t.name: t.count for t in system.types}
+        remaining = dict(space.capacity)
         assignment: dict[str, ProcessorGroup] = {}
         nodes = 0
 
@@ -113,16 +100,7 @@ class BranchAndBoundAllocator(RAHeuristic):
                 # incumbent through this branch.
                 if value * prob * suffix[i + 1] <= incumbent_value:
                     break  # candidates are sorted best-first
-                if group.size > remaining[group.ptype.name]:
-                    continue
-                if not others_can_complete(
-                    {
-                        t: remaining[t]
-                        - (group.size if t == group.ptype.name else 0)
-                        for t in remaining
-                    },
-                    [supported[other] for other in later],
-                ):
+                if not space.admits(group, remaining, later):
                     continue
                 assignment[name] = group
                 remaining[group.ptype.name] -= group.size
@@ -131,15 +109,4 @@ class BranchAndBoundAllocator(RAHeuristic):
                 del assignment[name]
 
         dfs(0, 1.0)
-        allocation = Allocation(
-            incumbent,
-            system=system,
-            batch=batch,
-            require_power_of_two=self._power_of_two,
-        )
-        return RAResult(
-            allocation=allocation,
-            robustness=incumbent_value,
-            heuristic=self.name,
-            evaluations=evaluations + nodes,
-        )
+        return space.result(self.name, incumbent, evaluations + nodes, incumbent_value)

@@ -11,23 +11,72 @@ it is the ground truth against which the scalable heuristics
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from itertools import islice
 
+from ..contracts import check_allocation_feasible, contracts_enabled
 from ..errors import InfeasibleAllocationError
-from ..exec import ExecutionBackend, SerialBackend, evaluate_allocations
-from .allocation import enumerate_allocations
+from ..exec import ExecutionBackend, evaluate_allocations
+from .allocation import Allocation, enumerate_allocations
 from .base import RAHeuristic, RAResult
 from .robustness import StageIEvaluator
 
-__all__ = ["ExhaustiveAllocator"]
+__all__ = ["ExhaustiveAllocator", "MAX_EVALUATIONS", "best_enumerated"]
+
+#: Most allocations one enumeration may score before it gives up.
+MAX_EVALUATIONS = 2_000_000
+
+
+def best_enumerated(
+    evaluator: StageIEvaluator,
+    allocations: Iterable[Allocation],
+    backend: ExecutionBackend | None,
+    limit: int,
+) -> tuple[Allocation, float, int] | None:
+    """The best of ``allocations`` as ``(allocation, phi_1, scored)``.
+
+    Best means highest phi_1, then fewest processors, then earliest in
+    enumeration order. The enumeration is scored in bounded windows, each
+    fanned out over ``backend`` by
+    :func:`~repro.exec.evaluate_allocations` and reduced in order, so
+    every backend picks the same allocation. Returns ``None`` for an empty
+    enumeration; raises ``InfeasibleAllocationError`` once it yields more
+    than ``limit`` allocations.
+    """
+    window = max(256, 16 * (backend.workers if backend is not None else 1))
+    allocations = iter(allocations)
+    best: Allocation | None = None
+    best_key = (0.0, 0)
+    scored = 0
+    while chunk := list(islice(allocations, window)):
+        scored += len(chunk)
+        if scored > limit:
+            raise InfeasibleAllocationError(
+                f"enumeration exceeded {limit} allocations; use a scalable "
+                "heuristic (greedy, min-min, annealing, genetic) for "
+                "instances of this size"
+            )
+        if contracts_enabled():
+            for allocation in chunk:
+                check_allocation_feasible(allocation, evaluator.system, evaluator.batch)
+        scores = evaluate_allocations(
+            evaluator, [dict(a.items()) for a in chunk], backend
+        )
+        for allocation, rob in zip(chunk, scores):
+            key = (rob, -allocation.total_processors())
+            if best is None or key > best_key:
+                best, best_key = allocation, key
+    if best is None:
+        return None
+    return best, best_key[0], scored
 
 
 class ExhaustiveAllocator(RAHeuristic):
     """Robust IM by full enumeration of the feasible allocation space.
 
     Ties on robustness are broken toward the smaller total processor usage
-    (frees resources at equal robustness), then toward the lexicographically
-    earlier assignment for determinism.
+    (frees resources at equal robustness), then toward the allocation
+    enumerated first, for determinism.
 
     ``max_evaluations`` guards against accidentally enumerating an
     exponential space: exceeding it raises ``InfeasibleAllocationError``
@@ -36,10 +85,7 @@ class ExhaustiveAllocator(RAHeuristic):
 
     name = "exhaustive-optimal"
 
-    def __init__(
-        self, *, power_of_two: bool = True, max_evaluations: int = 2_000_000
-    ) -> None:
-        self._power_of_two = power_of_two
+    def __init__(self, *, max_evaluations: int = MAX_EVALUATIONS) -> None:
         self._max_evaluations = max_evaluations
 
     def allocate(
@@ -48,47 +94,18 @@ class ExhaustiveAllocator(RAHeuristic):
         *,
         backend: ExecutionBackend | None = None,
     ) -> RAResult:
-        serial = (
-            backend is None
-            or isinstance(backend, SerialBackend)
-            or backend.workers <= 1
+        found = best_enumerated(
+            evaluator,
+            enumerate_allocations(evaluator.batch, evaluator.system),
+            backend,
+            self._max_evaluations,
         )
-        # Parallel path: materialize bounded windows of the enumeration,
-        # fan each window out, and reduce scores *in enumeration order* so
-        # the first-wins tie-break matches the serial loop exactly.
-        window = 1 if serial else max(256, 16 * backend.workers)
-        best = None
-        best_key: tuple[float, int] | None = None
-        evaluations = 0
-        iterator = enumerate_allocations(
-            evaluator.batch, evaluator.system, power_of_two=self._power_of_two
-        )
-        while True:
-            chunk = list(islice(iterator, window))
-            if not chunk:
-                break
-            evaluations += len(chunk)
-            if evaluations > self._max_evaluations:
-                raise InfeasibleAllocationError(
-                    f"exhaustive search exceeded {self._max_evaluations} "
-                    "allocations; use a scalable heuristic (greedy, min-min, "
-                    "annealing, genetic) for instances of this size"
-                )
-            if serial:
-                scores = [evaluator.robustness(a) for a in chunk]
-            else:
-                scores = evaluate_allocations(
-                    evaluator, [dict(a.items()) for a in chunk], backend
-                )
-            for allocation, rob in zip(chunk, scores):
-                key = (rob, -allocation.total_processors())
-                if best_key is None or key > best_key:
-                    best, best_key = allocation, key
-        if best is None:
+        if found is None:
             raise InfeasibleAllocationError("no feasible allocation exists")
+        allocation, robustness, evaluations = found
         return RAResult(
-            allocation=best,
-            robustness=best_key[0],
+            allocation=allocation,
+            robustness=robustness,
             heuristic=self.name,
             evaluations=evaluations,
         )

@@ -20,8 +20,8 @@ from ..errors import InfeasibleAllocationError
 from ..exec import ExecutionBackend, evaluate_allocations
 from ..rng import ensure_rng
 from ..system import ProcessorGroup
-from .allocation import Allocation, candidate_assignments
-from .base import RAHeuristic, RAResult
+from .allocation import type_usage
+from .base import RAHeuristic, RAResult, SearchSpace
 from .robustness import StageIEvaluator
 
 __all__ = ["GeneticAllocator"]
@@ -53,7 +53,6 @@ class GeneticAllocator(RAHeuristic):
         crossover_rate: float = 0.9,
         mutation_rate: float = 0.1,
         tournament: int = 3,
-        power_of_two: bool = True,
         rng=None,
     ) -> None:
         if population < 2:
@@ -69,7 +68,6 @@ class GeneticAllocator(RAHeuristic):
         self._crossover_rate = crossover_rate
         self._mutation_rate = mutation_rate
         self._tournament = tournament
-        self._power_of_two = power_of_two
         self._rng = rng
 
     # ------------------------------------------------------------------ main
@@ -81,15 +79,8 @@ class GeneticAllocator(RAHeuristic):
         backend: ExecutionBackend | None = None,
     ) -> RAResult:
         gen = ensure_rng(self._rng)
-        batch, system = evaluator.batch, evaluator.system
-        names = list(batch.names)
-        candidates = {
-            name: candidate_assignments(
-                name, batch, system, power_of_two=self._power_of_two
-            )
-            for name in names
-        }
-        counts = {t.name: t.count for t in system.types}
+        space = SearchSpace(evaluator)
+        names, candidates = space.names, space.candidates
         evaluations = 0
 
         def decode(chrom: np.ndarray) -> dict[str, ProcessorGroup]:
@@ -102,12 +93,11 @@ class GeneticAllocator(RAHeuristic):
             chrom = chrom.copy()
             for _ in range(64):  # bounded; each pass strictly reduces usage
                 state = decode(chrom)
-                usage: dict[str, int] = {}
-                for group in state.values():
-                    usage[group.ptype.name] = (
-                        usage.get(group.ptype.name, 0) + group.size
-                    )
-                over = [t for t, used in usage.items() if used > counts[t]]
+                over = [
+                    t
+                    for t, used in type_usage(state.values()).items()
+                    if used > space.capacity[t]
+                ]
                 if not over:
                     return chrom
                 tname = over[0]
@@ -181,17 +171,8 @@ class GeneticAllocator(RAHeuristic):
             evaluations += len(pop)
 
         best_idx = int(np.argmax(fit))
-        allocation = Allocation(
-            decode(pop[best_idx]),
-            system=system,
-            batch=batch,
-            require_power_of_two=self._power_of_two,
-        )
-        return RAResult(
-            allocation=allocation,
-            robustness=float(fit[best_idx]),
-            heuristic=self.name,
-            evaluations=evaluations,
+        return space.result(
+            self.name, decode(pop[best_idx]), evaluations, float(fit[best_idx])
         )
 
     def _tournament_pick(

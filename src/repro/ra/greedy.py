@@ -20,8 +20,7 @@ from __future__ import annotations
 from ..errors import InfeasibleAllocationError
 from ..exec import ExecutionBackend
 from ..system import ProcessorGroup
-from .allocation import Allocation, candidate_assignments, others_can_complete
-from .base import RAHeuristic, RAResult
+from .base import RAHeuristic, RAResult, SearchSpace
 from .robustness import StageIEvaluator
 
 __all__ = ["GreedyRobustAllocator", "GreedyPackingAllocator"]
@@ -29,9 +28,6 @@ __all__ = ["GreedyRobustAllocator", "GreedyPackingAllocator"]
 
 class _GreedyBase(RAHeuristic):
     """Shared machinery: order apps, assign best feasible group one by one."""
-
-    def __init__(self, *, power_of_two: bool = True) -> None:
-        self._power_of_two = power_of_two
 
     # Subclasses define the per-assignment score (higher is better).
     def _score(
@@ -48,45 +44,25 @@ class _GreedyBase(RAHeuristic):
         # Greedy is a sequential chain of per-assignment scores, all
         # served by the evaluator's memoization; ``backend`` is accepted
         # for interface uniformity but has nothing to parallelize.
-        batch, system = evaluator.batch, evaluator.system
-        candidates = {
-            name: candidate_assignments(
-                name, batch, system, power_of_two=self._power_of_two
-            )
-            for name in batch.names
-        }
+        space = SearchSpace(evaluator)
+        type_names = evaluator.system.type_names
         evaluations = 0
 
         # Difficulty = best achievable score if the app had the whole system;
         # hardest (lowest) first so constrained apps pick before resources
         # are consumed.
         difficulty: dict[str, float] = {}
-        for name, groups in candidates.items():
-            best = max(
-                self._score(evaluator, name, g) for g in groups
-            )
+        for name, groups in space.candidates.items():
+            difficulty[name] = max(self._score(evaluator, name, g) for g in groups)
             evaluations += len(groups)
-            difficulty[name] = best
-        order = sorted(batch.names, key=lambda n: difficulty[n])
+        order = sorted(space.names, key=lambda n: difficulty[n])
 
-        supported = {
-            name: {g.ptype.name for g in candidates[name]} for name in batch.names
-        }
-        remaining = {t.name: t.count for t in system.types}
+        remaining = dict(space.capacity)
         chosen: dict[str, ProcessorGroup] = {}
         for i, name in enumerate(order):
             later = order[i + 1 :]
             feasible = [
-                g
-                for g in candidates[name]
-                if g.size <= remaining[g.ptype.name]
-                and others_can_complete(
-                    {
-                        t: remaining[t] - (g.size if t == g.ptype.name else 0)
-                        for t in remaining
-                    },
-                    [supported[other] for other in later],
-                )
+                g for g in space.candidates[name] if space.admits(g, remaining, later)
             ]
             if not feasible:
                 raise InfeasibleAllocationError(
@@ -98,25 +74,14 @@ class _GreedyBase(RAHeuristic):
                 key=lambda g: (
                     self._score(evaluator, name, g),
                     -g.size,
-                    -system.type_names.index(g.ptype.name),
+                    -type_names.index(g.ptype.name),
                 ),
             )
             evaluations += len(feasible)
             chosen[name] = best_group
             remaining[best_group.ptype.name] -= best_group.size
 
-        allocation = Allocation(
-            chosen,
-            system=system,
-            batch=batch,
-            require_power_of_two=self._power_of_two,
-        )
-        return RAResult(
-            allocation=allocation,
-            robustness=evaluator.robustness(allocation),
-            heuristic=self.name,
-            evaluations=evaluations,
-        )
+        return space.result(self.name, chosen, evaluations)
 
 
 class GreedyRobustAllocator(_GreedyBase):

@@ -26,30 +26,21 @@ from __future__ import annotations
 from ..errors import InfeasibleAllocationError
 from ..exec import ExecutionBackend
 from ..system import ProcessorGroup
-from .allocation import Allocation, candidate_assignments, others_can_complete
-from .base import RAHeuristic, RAResult
+from .base import RAHeuristic, RAResult, SearchSpace
 from .robustness import StageIEvaluator
 
 __all__ = ["MinMinAllocator", "MaxMinAllocator", "SufferageAllocator"]
 
+#: Resource frugality: among groups whose deadline probability is within
+#: this of the application's best, the smallest group is preferred. Without
+#: it the probability objective always weakly prefers more processors
+#: (Eq. 2 is monotone in ``n``), and early assignments would starve later
+#: applications.
+FRUGALITY_EPS = 1e-4
+
 
 class _RoundRobinBase(RAHeuristic):
-    """Round-based assignment: pick (app, group) per a selection rule.
-
-    ``frugality_eps`` implements resource frugality: among groups whose
-    deadline probability is within ``eps`` of the application's best, the
-    smallest group is preferred. Without it the probability objective always
-    weakly prefers more processors (Eq. 2 is monotone in ``n``), and early
-    assignments would starve later applications.
-    """
-
-    def __init__(
-        self, *, power_of_two: bool = True, frugality_eps: float = 1e-4
-    ) -> None:
-        if frugality_eps < 0:
-            raise ValueError("frugality_eps must be >= 0")
-        self._power_of_two = power_of_two
-        self._eps = frugality_eps
+    """Round-based assignment: pick (app, group) per a selection rule."""
 
     def _select(
         self, scored: dict[str, list[tuple[float, ProcessorGroup]]]
@@ -71,43 +62,20 @@ class _RoundRobinBase(RAHeuristic):
         # depends on the previous picks); per-assignment scores come from
         # the evaluator's memoization, so ``backend`` is accepted only
         # for interface uniformity.
-        batch, system = evaluator.batch, evaluator.system
-        candidates = {
-            name: candidate_assignments(
-                name, batch, system, power_of_two=self._power_of_two
-            )
-            for name in batch.names
-        }
-        remaining = {t.name: t.count for t in system.types}
-        unassigned = list(batch.names)
+        space = SearchSpace(evaluator)
+        remaining = dict(space.capacity)
+        unassigned = list(space.names)
         chosen: dict[str, ProcessorGroup] = {}
         evaluations = 0
 
-        supported = {
-            name: {g.ptype.name for g in candidates[name]}
-            for name in batch.names
-        }
         while unassigned:
             scored: dict[str, list[tuple[float, ProcessorGroup]]] = {}
             for name in unassigned:
                 # A candidate is admissible only if, after taking it, every
                 # other unassigned application can still get a processor.
+                others = [other for other in unassigned if other != name]
                 feasible = [
-                    g
-                    for g in candidates[name]
-                    if g.size <= remaining[g.ptype.name]
-                    and others_can_complete(
-                        {
-                            t: remaining[t]
-                            - (g.size if t == g.ptype.name else 0)
-                            for t in remaining
-                        },
-                        [
-                            supported[other]
-                            for other in unassigned
-                            if other != name
-                        ],
-                    )
+                    g for g in space.candidates[name] if space.admits(g, remaining, others)
                 ]
                 if not feasible:
                     raise InfeasibleAllocationError(
@@ -124,7 +92,7 @@ class _RoundRobinBase(RAHeuristic):
                 evaluations += len(feasible)
                 # Frugal best: smallest group within eps of the best prob.
                 best_prob = entries[0][0]
-                near = [pg for pg in entries if pg[0] >= best_prob - self._eps]
+                near = [pg for pg in entries if pg[0] >= best_prob - FRUGALITY_EPS]
                 frugal_best = min(near, key=lambda pg: pg[1].size)
                 rest = [pg for pg in entries if pg[1] is not frugal_best[1]]
                 scored[name] = [frugal_best] + rest
@@ -134,18 +102,7 @@ class _RoundRobinBase(RAHeuristic):
             remaining[group.ptype.name] -= group.size
             unassigned.remove(pick)
 
-        allocation = Allocation(
-            chosen,
-            system=system,
-            batch=batch,
-            require_power_of_two=self._power_of_two,
-        )
-        return RAResult(
-            allocation=allocation,
-            robustness=evaluator.robustness(allocation),
-            heuristic=self.name,
-            evaluations=evaluations,
-        )
+        return space.result(self.name, chosen, evaluations)
 
 
 class MinMinAllocator(_RoundRobinBase):

@@ -14,9 +14,10 @@ app1 -> 4 x type2, app2 -> 4 x type1, app3 -> 4 x type2 with phi_1 = 26%.
 from __future__ import annotations
 
 from ..errors import InfeasibleAllocationError
-from ..exec import ExecutionBackend, evaluate_allocations
+from ..exec import ExecutionBackend
 from .allocation import enumerate_allocations
 from .base import RAHeuristic, RAResult
+from .exhaustive import MAX_EVALUATIONS, best_enumerated
 from .robustness import StageIEvaluator
 
 __all__ = ["EqualShareAllocator"]
@@ -25,17 +26,13 @@ __all__ = ["EqualShareAllocator"]
 class EqualShareAllocator(RAHeuristic):
     """Naive IM: equal processor share per application.
 
-    Parameters
-    ----------
-    power_of_two:
-        Keep the paper's power-of-2 group-size constraint (default). The
-        equal share itself must then be a power of two or allocation fails.
+    The share must be a power of two (the model's group-size constraint);
+    otherwise smaller power-of-two shares are tried. Each share's
+    allocations are enumerated and scored like the exhaustive search, under
+    the same ``MAX_EVALUATIONS`` bound.
     """
 
     name = "naive-equal-share"
-
-    def __init__(self, *, power_of_two: bool = True) -> None:
-        self._power_of_two = power_of_two
 
     def allocate(
         self,
@@ -63,32 +60,19 @@ class EqualShareAllocator(RAHeuristic):
             if k not in shares:
                 shares.append(k)
             k >>= 1
-        evaluations = 0
         for s in shares:
-            best = None
-            best_rob = -1.0
             try:
-                allocations = list(
-                    enumerate_allocations(
-                        batch,
-                        system,
-                        power_of_two=self._power_of_two,
-                        sizes_filter={s},
-                    )
-                )
+                allocations = enumerate_allocations(batch, system, sizes_filter={s})
             except InfeasibleAllocationError:
-                continue
-            evaluations += len(allocations)
-            scores = evaluate_allocations(
-                evaluator, [dict(a.items()) for a in allocations], backend
-            )
-            for allocation, rob in zip(allocations, scores):
-                if rob > best_rob:
-                    best, best_rob = allocation, rob
-            if best is not None:
+                continue  # some application has no group of this size
+            # Every allocation here uses n_apps * s processors, so the
+            # exhaustive tie-break reduces to the first of the best phi_1.
+            found = best_enumerated(evaluator, allocations, backend, MAX_EVALUATIONS)
+            if found is not None:
+                allocation, robustness, evaluations = found
                 return RAResult(
-                    allocation=best,
-                    robustness=best_rob,
+                    allocation=allocation,
+                    robustness=robustness,
                     heuristic=self.name,
                     evaluations=evaluations,
                 )

@@ -51,10 +51,7 @@ class ParetoPoint:
 
 
 def pareto_front(
-    evaluator: StageIEvaluator,
-    *,
-    power_of_two: bool = True,
-    max_evaluations: int = 200_000,
+    evaluator: StageIEvaluator, *, max_evaluations: int = 200_000
 ) -> list[ParetoPoint]:
     """Pareto-efficient allocations of the (enumerable) feasible space.
 
@@ -64,9 +61,7 @@ def pareto_front(
     """
     points: list[ParetoPoint] = []
     count = 0
-    for allocation in enumerate_allocations(
-        evaluator.batch, evaluator.system, power_of_two=power_of_two
-    ):
+    for allocation in enumerate_allocations(evaluator.batch, evaluator.system):
         count += 1
         if count > max_evaluations:
             raise AllocationError(

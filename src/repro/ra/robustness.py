@@ -76,7 +76,7 @@ class StageIEvaluator:
     def __init__(
         self, batch: Batch, system: HeterogeneousSystem, deadline: float
     ) -> None:
-        if deadline <= 0:
+        if not deadline > 0:
             raise ValueError(f"deadline must be positive, got {deadline}")
         self._batch = batch
         self._system = system

@@ -59,3 +59,8 @@ class TestFePIA:
             per_type_radius(batch, system, allocation, deadline, "typeX")
         with pytest.raises(ModelError):
             per_type_radius(batch, system, allocation, 0.0, "type1")
+
+    def test_nan_deadline_rejected(self, paper_setup):
+        batch, system, allocation, _ = paper_setup
+        with pytest.raises(ModelError, match="deadline"):
+            per_type_radius(batch, system, allocation, float("nan"), "type1")

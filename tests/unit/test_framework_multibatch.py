@@ -96,6 +96,12 @@ class TestMultiBatch:
         with pytest.raises(ModelError):
             result.response_time("ghost")
 
+    def test_nan_deadline_rejected(self, system):
+        with pytest.raises(ModelError, match="deadline"):
+            MultiBatchScheduler(
+                system, GreedyRobustAllocator(), "FAC", deadline=float("nan")
+            )
+
     def test_validation(self, system, scheduler):
         with pytest.raises(ModelError):
             MultiBatchScheduler(

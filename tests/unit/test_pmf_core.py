@@ -107,6 +107,16 @@ class TestSummaries:
     def test_prob_leq_equals_cdf(self, simple_pmf):
         assert simple_pmf.prob_leq(2.5) == simple_pmf.cdf(2.5)
 
+    def test_nan_rejected(self, simple_pmf):
+        # searchsorted sorts NaN last, so an unchecked NaN reads as Pr = 1.
+        with pytest.raises(PMFError, match="x must not be NaN"):
+            simple_pmf.cdf(float("nan"))
+        with pytest.raises(PMFError, match="x must not be NaN"):
+            simple_pmf.cdf(np.array([1.0, np.nan]))
+        with pytest.raises(PMFError, match="x must not be NaN"):
+            simple_pmf.prob_leq(float("nan"))
+        assert simple_pmf.prob_leq(float("inf")) == 1.0
+
     def test_quantile(self, simple_pmf):
         assert simple_pmf.quantile(0.0) == 1.0
         assert simple_pmf.quantile(0.25) == 1.0

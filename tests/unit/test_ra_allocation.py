@@ -5,6 +5,8 @@ import pytest
 from repro.errors import AllocationError, InfeasibleAllocationError
 from repro.ra import (
     Allocation,
+    SearchSpace,
+    StageIEvaluator,
     candidate_assignments,
     enumerate_allocations,
     powers_of_two_upto,
@@ -98,19 +100,6 @@ class TestAllocation:
                 batch=paper_like_batch,
             )
 
-    def test_power_of_two_optional(self, paper_like_system, paper_like_batch):
-        alloc = Allocation(
-            {
-                "app1": ProcessorGroup(paper_like_system.type("type1"), 3),
-                "app2": ProcessorGroup(paper_like_system.type("type1"), 1),
-                "app3": ProcessorGroup(paper_like_system.type("type2"), 8),
-            },
-            system=paper_like_system,
-            batch=paper_like_batch,
-            require_power_of_two=False,
-        )
-        assert alloc.group("app1").size == 3
-
     def test_empty_rejected(self):
         with pytest.raises(AllocationError):
             Allocation({})
@@ -130,12 +119,6 @@ class TestCandidates:
         # type1 (4 procs): sizes 1,2,4; type2 (8 procs): 1,2,4,8 -> 7 options.
         cands = candidate_assignments("app1", paper_like_batch, paper_like_system)
         assert len(cands) == 7
-
-    def test_non_power_of_two(self, paper_like_system, paper_like_batch):
-        cands = candidate_assignments(
-            "app1", paper_like_batch, paper_like_system, power_of_two=False
-        )
-        assert len(cands) == 4 + 8
 
     def test_only_supported_types(self, paper_like_system, paper_like_batch):
         # app supports both types in the paper batch; restrict via a custom app
@@ -189,3 +172,73 @@ class TestEnumerate:
                     paper_like_batch, paper_like_system, sizes_filter={16}
                 )
             )
+
+    def test_candidates_checked_at_call(self, paper_like_system, paper_like_batch):
+        # Raised before iteration, so callers can tell "no candidate" apart
+        # from errors raised while the enumeration is consumed.
+        with pytest.raises(InfeasibleAllocationError):
+            enumerate_allocations(
+                paper_like_batch, paper_like_system, sizes_filter={16}
+            )
+
+
+class TestSearchSpace:
+    @pytest.fixture
+    def space(self, paper_like_batch, paper_like_system):
+        return SearchSpace(
+            StageIEvaluator(paper_like_batch, paper_like_system, 3250.0)
+        )
+
+    def group(self, space, type_name, size):
+        return space.evaluator.system.group(type_name, size)
+
+    def test_holds_candidates_and_capacity(
+        self, space, paper_like_batch, paper_like_system
+    ):
+        assert space.names == ["app1", "app2", "app3"]
+        for name in space.names:
+            assert space.candidates[name] == candidate_assignments(
+                name, paper_like_batch, paper_like_system
+            )
+        assert space.capacity == {"type1": 4, "type2": 8}
+
+    def test_admits_checks_capacity(self, space):
+        remaining = {"type1": 2, "type2": 8}
+        assert space.admits(self.group(space, "type1", 2), remaining, [])
+        assert not space.admits(self.group(space, "type1", 4), remaining, [])
+
+    def test_admits_keeps_a_processor_for_each_pending_app(self, space):
+        remaining = {"type1": 1, "type2": 8}
+        whole_type2 = self.group(space, "type2", 8)
+        assert space.admits(whole_type2, remaining, ["app2"])
+        assert not space.admits(whole_type2, remaining, ["app2", "app3"])
+        assert space.admits(self.group(space, "type2", 4), remaining, ["app2", "app3"])
+
+    def test_fits(self, space):
+        assert space.fits(
+            {"app1": self.group(space, "type1", 2), "app2": self.group(space, "type1", 2)}
+        )
+        assert not space.fits(
+            {"app1": self.group(space, "type1", 4), "app2": self.group(space, "type1", 1)}
+        )
+
+    def test_result(self, space):
+        chosen = {
+            "app1": self.group(space, "type1", 2),
+            "app2": self.group(space, "type1", 2),
+            "app3": self.group(space, "type2", 8),
+        }
+        result = space.result("demo", chosen, 5)
+        assert result.allocation == Allocation(chosen)
+        assert result.robustness == space.evaluator.robustness(result.allocation)
+        assert (result.heuristic, result.evaluations) == ("demo", 5)
+        assert space.result("demo", chosen, 5, robustness=0.5).robustness == 0.5
+
+    def test_result_validates(self, space):
+        oversubscribed = {
+            "app1": self.group(space, "type1", 4),
+            "app2": self.group(space, "type1", 1),
+            "app3": self.group(space, "type2", 8),
+        }
+        with pytest.raises(AllocationError):
+            space.result("demo", oversubscribed, 1)

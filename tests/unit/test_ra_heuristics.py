@@ -9,9 +9,16 @@ import inspect
 
 import pytest
 
-from repro.apps import Application, Batch, normal_exectime_model
+from repro.apps import (
+    Application,
+    Batch,
+    WorkloadSpec,
+    normal_exectime_model,
+    random_instance,
+)
 from repro.errors import InfeasibleAllocationError
 from repro.pmf import percent_availability
+from repro.ra import naive as naive_module
 from repro.ra import (
     AnnealingAllocator,
     EqualShareAllocator,
@@ -79,6 +86,12 @@ class TestEqualShare:
         with pytest.raises(InfeasibleAllocationError):
             EqualShareAllocator().allocate(ev)
 
+    def test_enumeration_bound(self, evaluator, monkeypatch):
+        # The paper instance has 3 equal-share allocations at share 4.
+        monkeypatch.setattr(naive_module, "MAX_EVALUATIONS", 2)
+        with pytest.raises(InfeasibleAllocationError, match="exceeded 2"):
+            EqualShareAllocator().allocate(evaluator)
+
 
 class TestExhaustive:
     def test_paper_table_iv_robust(self, evaluator):
@@ -131,10 +144,6 @@ class TestListHeuristics:
         assert usage.get("type1", 0) <= 4
         assert usage.get("type2", 0) <= 8
 
-    def test_frugality_validation(self):
-        with pytest.raises(ValueError):
-            MinMinAllocator(frugality_eps=-1.0)
-
 
 class TestMetaheuristics:
     def test_annealing_matches_optimal(self, evaluator):
@@ -157,6 +166,11 @@ class TestMetaheuristics:
             AnnealingAllocator(initial_temperature=0.0)
         with pytest.raises(ValueError):
             AnnealingAllocator(restarts=0)
+
+    def test_annealing_nan_temperature_rejected(self):
+        # A NaN temperature would reject every worse move.
+        with pytest.raises(ValueError, match="initial_temperature"):
+            AnnealingAllocator(initial_temperature=float("nan"))
 
     def test_genetic_matches_optimal(self, evaluator):
         result = GeneticAllocator(
@@ -261,3 +275,70 @@ class TestEveryHeuristic:
     def test_never_beats_the_exhaustive_optimum(self, name, instance):
         optimum = ExhaustiveAllocator().allocate(instance).robustness
         assert make_heuristic(name).allocate(instance).robustness <= optimum + 1e-12
+
+
+def seeded_evaluator():
+    """A seeded 4-app, 3-type instance where the heuristics disagree.
+
+    At this deadline the optimum is phi_1 = 0.837 while greedy scores
+    0.007, so a change to any heuristic's search shows in its answer.
+    """
+    system, batch = random_instance(
+        WorkloadSpec(n_apps=4, n_types=3, procs_per_type=(4, 8), cv=0.3), 3
+    )
+    return StageIEvaluator(batch, system, 2800.0)
+
+
+#: (instance, heuristic) -> (allocation as "app:type:size" rows, exact
+#: phi_1, evaluations). Randomized heuristics run with ``rng=7``.
+PINNED = {
+    ("paper", "branch-and-bound"):
+        ("app1:type1:2 app2:type1:2 app3:type2:8", 0.7447125832597674, 56),
+    ("paper", "exhaustive-optimal"):
+        ("app1:type1:2 app2:type1:2 app3:type2:8", 0.7447125832597674, 153),
+    ("paper", "genetic"):
+        ("app1:type1:2 app2:type1:2 app3:type2:8", 0.7447125832597674, 2440),
+    ("paper", "greedy-packing"):
+        ("app1:type1:2 app2:type1:2 app3:type2:8", 0.7447125832597674, 32),
+    ("paper", "greedy-robust"):
+        ("app1:type1:2 app2:type1:2 app3:type2:8", 0.7447125832597674, 32),
+    ("paper", "max-min"):
+        ("app1:type1:1 app2:type1:2 app3:type2:8", 0.7446409629361616, 27),
+    ("paper", "min-min"):
+        ("app1:type1:1 app2:type1:2 app3:type2:8", 0.7446409629361616, 38),
+    ("paper", "naive-equal-share"):
+        ("app1:type2:4 app2:type1:4 app3:type2:4", 0.25940610243172074, 3),
+    ("paper", "simulated-annealing"):
+        ("app1:type1:2 app2:type1:2 app3:type2:8", 0.7447125832597674, 2347),
+    ("paper", "sufferage"):
+        ("app1:type1:1 app2:type1:2 app3:type2:8", 0.7446409629361617, 27),
+    ("seeded", "branch-and-bound"):
+        ("app1:type3:4 app2:type3:4 app3:type1:4 app4:type1:2", 0.83686561883328, 124),
+    ("seeded", "exhaustive-optimal"):
+        ("app1:type3:4 app2:type3:4 app3:type1:4 app4:type1:2", 0.83686561883328, 5591),
+    ("seeded", "genetic"):
+        ("app1:type3:4 app2:type3:4 app3:type1:4 app4:type1:2", 0.83686561883328, 2440),
+    ("seeded", "greedy-packing"):
+        ("app1:type1:8 app2:type3:8 app3:type2:2 app4:type2:2", 0.007004689338880879, 66),
+    ("seeded", "greedy-robust"):
+        ("app1:type1:8 app2:type3:8 app3:type2:2 app4:type2:2", 0.007004689338880879, 66),
+    ("seeded", "max-min"):
+        ("app1:type1:8 app2:type3:8 app3:type2:2 app4:type2:2", 0.007004689338880878, 71),
+    ("seeded", "min-min"):
+        ("app1:type3:8 app2:type2:4 app3:type1:4 app4:type1:2", 0.4773964784215368, 97),
+    ("seeded", "naive-equal-share"):
+        ("app1:type3:4 app2:type3:4 app3:type1:4 app4:type1:4", 0.83686561883328, 30),
+    ("seeded", "simulated-annealing"):
+        ("app1:type1:4 app2:type3:8 app3:type1:2 app4:type1:2", 0.50106918329376, 2800),
+    ("seeded", "sufferage"):
+        ("app1:type1:8 app2:type3:8 app3:type2:2 app4:type2:2", 0.007004689338880879, 71),
+}
+
+
+@pytest.mark.parametrize("instance", ["paper", "seeded"])
+@pytest.mark.parametrize("name", sorted(HEURISTICS))
+def test_pinned_answer(name, instance, evaluator):
+    ev = evaluator if instance == "paper" else seeded_evaluator()
+    result = make_heuristic(name).allocate(ev)
+    rows = " ".join(f"{app}:{ptype}:{size}" for app, ptype, size in table(result))
+    assert (rows, result.robustness, result.evaluations) == PINNED[instance, name]

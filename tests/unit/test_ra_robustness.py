@@ -38,6 +38,15 @@ class TestEvaluator:
         with pytest.raises(ValueError):
             StageIEvaluator(paper_like_batch, paper_like_system, 0.0)
 
+    def test_nan_deadline_rejected(self, paper_like_batch, paper_like_system):
+        with pytest.raises(ValueError, match="deadline"):
+            StageIEvaluator(paper_like_batch, paper_like_system, float("nan"))
+
+    def test_infinite_deadline_valid(self, paper_like_batch, paper_like_system):
+        evaluator = StageIEvaluator(paper_like_batch, paper_like_system, float("inf"))
+        robustness = evaluator.robustness(paper_alloc(paper_like_system, NAIVE))
+        assert robustness == pytest.approx(1.0)
+
     def test_robustness_paper_values(self, evaluator, paper_like_system):
         naive = paper_alloc(paper_like_system, NAIVE)
         robust = paper_alloc(paper_like_system, ROBUST)
