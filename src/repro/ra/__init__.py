@@ -10,7 +10,6 @@ from .allocation import (
     candidate_assignments,
     enumerate_allocations,
     powers_of_two_upto,
-    others_can_complete,
 )
 from .robustness import StageIEvaluator, AllocationReport, completion_pmf
 from .base import RAHeuristic, RAResult, SearchSpace
@@ -45,7 +44,6 @@ __all__ = [
     "candidate_assignments",
     "enumerate_allocations",
     "powers_of_two_upto",
-    "others_can_complete",
     "StageIEvaluator",
     "AllocationReport",
     "completion_pmf",

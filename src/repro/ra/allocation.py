@@ -24,36 +24,8 @@ __all__ = [
     "candidate_assignments",
     "enumerate_allocations",
     "powers_of_two_upto",
-    "others_can_complete",
     "type_usage",
 ]
-
-
-def others_can_complete(
-    remaining: Mapping[str, int], needs: Iterable[set[str]]
-) -> bool:
-    """Hall's condition: each pending application can still get a processor.
-
-    Each pending application needs at least one processor of one of its
-    supported types. Such an assignment exists iff for every subset ``S`` of
-    types, the number of applications whose supported types all lie within
-    ``S`` does not exceed the remaining capacity of ``S``. Type counts are
-    small, so the ``2^T`` subset scan is cheap. Incremental heuristics use
-    this as a look-ahead so early assignments cannot starve later
-    applications.
-    """
-    needs = list(needs)
-    if not needs:
-        return True
-    types = sorted(remaining)
-    t = len(types)
-    for mask in range(1, 1 << t):
-        subset = {types[k] for k in range(t) if mask >> k & 1}
-        capacity = sum(remaining[name] for name in subset)
-        demand = sum(1 for need in needs if need <= subset)
-        if demand > capacity:
-            return False
-    return True
 
 
 def powers_of_two_upto(n: int) -> list[int]:

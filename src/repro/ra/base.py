@@ -17,12 +17,7 @@ from ..errors import AllocationError
 from ..exec import ExecutionBackend
 from ..obs import incr, obs_enabled, observe_value
 from ..system import ProcessorGroup
-from .allocation import (
-    Allocation,
-    candidate_assignments,
-    others_can_complete,
-    type_usage,
-)
+from .allocation import Allocation, candidate_assignments, type_usage
 from .robustness import StageIEvaluator
 
 __all__ = ["RAHeuristic", "RAResult", "SearchSpace"]
@@ -64,31 +59,57 @@ class SearchSpace:
             name: candidate_assignments(name, batch, system) for name in self.names
         }
         self.capacity: dict[str, int] = {t.name: t.count for t in system.types}
-        self._supported = {
-            name: {g.ptype.name for g in groups}
+        # Type subsets are bitmasks over the sorted type names; each
+        # application's supported types are one such mask.
+        self._types = sorted(self.capacity)
+        bit = {t: 1 << k for k, t in enumerate(self._types)}
+        self._needs = {
+            name: sum(bit[t] for t in {g.ptype.name for g in groups})
             for name, groups in self.candidates.items()
         }
 
-    def admits(
-        self,
-        group: ProcessorGroup,
-        remaining: Mapping[str, int],
-        pending: Iterable[str],
-    ) -> bool:
-        """Whether ``group`` may be taken with ``remaining`` processors free.
+    def limits(
+        self, remaining: Mapping[str, int], pending: Iterable[str]
+    ) -> dict[str, int]:
+        """The largest group each type may give now, 0 if none.
 
-        The group must fit, and afterwards every ``pending`` application
-        must still be able to get a processor (Hall's condition,
-        :func:`~repro.ra.allocation.others_can_complete`). This look-ahead
-        keeps incremental heuristics from starving later applications.
+        With ``remaining`` processors free, a group of ``k`` processors of
+        type ``t`` may be taken iff ``k <= limits(...)[t]``: it fits, and
+        afterwards every ``pending`` application can still get a processor
+        of a type it supports. This look-ahead keeps incremental heuristics
+        from starving later applications; compute it once per search step.
+
+        By Hall's theorem such an assignment exists iff every set ``S`` of
+        types has ``slack[S] = capacity[S] - demand[S] >= 0``, where
+        ``demand[S]`` counts the pending applications whose types all lie
+        in ``S``. Taking ``k`` of ``t`` lowers the slack of the sets holding
+        ``t`` by ``k``, so the limit is their least slack (the singleton
+        ``{t}`` bounds it by ``remaining[t]``), or 0 if a set without ``t``
+        already runs short. ``O(T 2^T)`` integer work for ``T`` types.
         """
-        taken = group.ptype.name
-        if group.size > remaining[taken]:
-            return False
-        return others_can_complete(
-            {t: left - (group.size if t == taken else 0) for t, left in remaining.items()},
-            [self._supported[name] for name in pending],
-        )
+        types = self._types
+        full = 1 << len(types)
+        demand = [0] * full
+        for name in pending:
+            demand[self._needs[name]] += 1
+        for k in range(len(types)):  # sum over subsets
+            bit = 1 << k
+            for s in range(full):
+                if s & bit:
+                    demand[s] += demand[s ^ bit]
+        slack = [0] * full
+        capacity = [0] * full
+        for s in range(1, full):
+            low = s & -s
+            capacity[s] = capacity[s ^ low] + remaining[types[low.bit_length() - 1]]
+            slack[s] = capacity[s] - demand[s]
+        out: dict[str, int] = {}
+        for k, t in enumerate(types):
+            bit = 1 << k
+            least_with = min(slack[s] for s in range(full) if s & bit)
+            short_without = any(slack[s] < 0 for s in range(full) if not s & bit)
+            out[t] = 0 if short_without or least_with < 1 else least_with
+        return out
 
     def fits(self, groups: Mapping[str, ProcessorGroup]) -> bool:
         """Whether an app -> group mapping respects every type's capacity."""

@@ -94,13 +94,13 @@ class BranchAndBoundAllocator(RAHeuristic):
                     incumbent_value = value
                 return
             name = order[i]
-            later = order[i + 1 :]
+            limit = space.limits(remaining, order[i + 1 :])
             for prob, group in candidates[name]:
                 # Bound: even perfect later assignments cannot beat the
                 # incumbent through this branch.
                 if value * prob * suffix[i + 1] <= incumbent_value:
                     break  # candidates are sorted best-first
-                if not space.admits(group, remaining, later):
+                if group.size > limit[group.ptype.name]:
                     continue
                 assignment[name] = group
                 remaining[group.ptype.name] -= group.size

@@ -101,11 +101,23 @@ class GeneticAllocator(RAHeuristic):
                 if not over:
                     return chrom
                 tname = over[0]
-                # Largest group of the oversubscribed type.
-                victim = max(
-                    (n for n in names if state[n].ptype.name == tname),
-                    key=lambda n: state[n].size,
-                )
+                # Largest group of the oversubscribed type that can shrink
+                # or move to another type.
+                movable = [
+                    n
+                    for n in names
+                    if state[n].ptype.name == tname
+                    and any(
+                        g.ptype.name != tname or g.size < state[n].size
+                        for g in candidates[n]
+                    )
+                ]
+                if not movable:
+                    raise InfeasibleAllocationError(
+                        f"cannot repair allocation: every application on "
+                        f"{tname!r} has one processor and no other type"
+                    )
+                victim = max(movable, key=lambda n: state[n].size)
                 current = state[victim]
                 smaller = [
                     k
@@ -123,10 +135,6 @@ class GeneticAllocator(RAHeuristic):
                         for k, g in enumerate(candidates[victim])
                         if g.ptype.name != tname
                     ]
-                    if not other:
-                        raise InfeasibleAllocationError(
-                            f"cannot repair allocation for {victim!r}"
-                        )
                     chrom[names.index(victim)] = other[int(gen.integers(len(other)))]
             raise InfeasibleAllocationError("GA repair failed to converge")
 

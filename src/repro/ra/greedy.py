@@ -60,9 +60,9 @@ class _GreedyBase(RAHeuristic):
         remaining = dict(space.capacity)
         chosen: dict[str, ProcessorGroup] = {}
         for i, name in enumerate(order):
-            later = order[i + 1 :]
+            limit = space.limits(remaining, order[i + 1 :])
             feasible = [
-                g for g in space.candidates[name] if space.admits(g, remaining, later)
+                g for g in space.candidates[name] if g.size <= limit[g.ptype.name]
             ]
             if not feasible:
                 raise InfeasibleAllocationError(

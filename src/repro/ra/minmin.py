@@ -73,9 +73,11 @@ class _RoundRobinBase(RAHeuristic):
             for name in unassigned:
                 # A candidate is admissible only if, after taking it, every
                 # other unassigned application can still get a processor.
-                others = [other for other in unassigned if other != name]
+                limit = space.limits(
+                    remaining, [other for other in unassigned if other != name]
+                )
                 feasible = [
-                    g for g in space.candidates[name] if space.admits(g, remaining, others)
+                    g for g in space.candidates[name] if g.size <= limit[g.ptype.name]
                 ]
                 if not feasible:
                     raise InfeasibleAllocationError(

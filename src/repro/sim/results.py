@@ -6,6 +6,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import stdtrit
 
 __all__ = [
     "finish_time_cv",
@@ -162,8 +163,6 @@ class ReplicatedAppStats:
 
         A single replication yields a degenerate interval at the value.
         """
-        from scipy import stats as _stats
-
         arr = np.asarray(self.makespans, dtype=np.float64)
         n = arr.size
         mean = float(arr.mean())
@@ -172,7 +171,7 @@ class ReplicatedAppStats:
         sem = float(arr.std(ddof=1)) / np.sqrt(n)
         if sem <= 0.0:
             return (mean, mean)
-        t = float(_stats.t.ppf(0.5 + confidence / 2.0, df=n - 1))
+        t = float(stdtrit(n - 1, 0.5 + confidence / 2.0))  # Student-t quantile
         return (mean - t * sem, mean + t * sem)
 
 

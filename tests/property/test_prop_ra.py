@@ -1,20 +1,22 @@
 """Property-based tests of stage-I allocation (hypothesis).
 
 On random small instances: every heuristic produces feasible allocations,
-and no heuristic beats the exhaustive optimum.
+no heuristic beats the exhaustive optimum, and the search space's bitmask
+look-ahead gives Hall's condition's verdict.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps import Application, Batch, normal_exectime_model
-from repro.pmf import PMF
+from repro.apps import Application, Batch, ExecutionTimeModel, normal_exectime_model
+from repro.pmf import PMF, deterministic
 from repro.ra import (
     ExhaustiveAllocator,
     GreedyRobustAllocator,
     MaxMinAllocator,
     MinMinAllocator,
+    SearchSpace,
     StageIEvaluator,
     SufferageAllocator,
     enumerate_allocations,
@@ -98,3 +100,85 @@ def test_enumeration_yields_unique_feasible(instance):
             assert used <= system.type(tname).count
         for _, group in alloc.items():
             assert group.size & (group.size - 1) == 0
+
+
+def others_can_complete(remaining, needs):
+    """Hall's condition by a set-based scan of every type subset (oracle).
+
+    Each pending application, given by the set of types it runs on, needs
+    one processor of one of them. Such an assignment exists iff no subset
+    ``S`` of types holds more applications (those whose types all lie in
+    ``S``) than free processors.
+    """
+    needs = list(needs)
+    if not needs:
+        return True
+    types = sorted(remaining)
+    for mask in range(1, 1 << len(types)):
+        subset = {types[k] for k in range(len(types)) if mask >> k & 1}
+        capacity = sum(remaining[name] for name in subset)
+        demand = sum(1 for need in needs if need <= subset)
+        if demand > capacity:
+            return False
+    return True
+
+
+def check_limits(remaining, supports, pending):
+    """``limits`` admits exactly the groups the capacity + Hall scan admits.
+
+    ``supports[i]`` is the set of types application ``a{i}`` runs on and
+    ``pending`` the indices of the applications still to be placed.
+    """
+    system = HeterogeneousSystem(ProcessorType(t, 8) for t in remaining)
+    batch = Batch(
+        Application(
+            f"a{i}", 0, 1, ExecutionTimeModel({t: deterministic(1.0) for t in types})
+        )
+        for i, types in enumerate(supports)
+    )
+    space = SearchSpace(StageIEvaluator(batch, system, 1.0))
+    limits = space.limits(remaining, [f"a{i}" for i in pending])
+    assert set(limits) == set(remaining)
+    needs = [supports[i] for i in pending]
+    for t, left in remaining.items():
+        for k in range(1, 9):
+            after = {**remaining, t: left - k}
+            expected = k <= left and others_can_complete(after, needs)
+            assert (k <= limits[t]) == expected, (t, k, limits)
+
+
+@st.composite
+def lookahead_states(draw):
+    types = [f"t{j}" for j in range(draw(st.integers(1, 6)))]
+    remaining = {t: draw(st.integers(0, 8)) for t in types}
+    supports = draw(
+        st.lists(
+            st.sets(st.sampled_from(types), min_size=1), min_size=1, max_size=8
+        )
+    )
+    pending = draw(st.sets(st.integers(0, len(supports) - 1)))
+    return remaining, supports, sorted(pending)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lookahead_states())
+def test_limits_match_the_hall_condition(state):
+    check_limits(*state)
+
+
+@pytest.mark.parametrize(
+    "remaining, supports, pending",
+    [
+        # No pending applications: only capacity binds.
+        ({"t0": 3, "t1": 0, "t2": 8}, [{"t0"}, {"t1", "t2"}], []),
+        # A single type.
+        ({"t0": 5}, [{"t0"}] * 4, [0, 1, 2]),
+        ({"t0": 2}, [{"t0"}] * 3, [0, 1, 2]),
+        # A type with nothing left, and one that must be kept for others.
+        ({"t0": 0, "t1": 4, "t2": 1}, [{"t0", "t1"}, {"t2"}, {"t1"}], [0, 1, 2]),
+        # A proper subset binds: {t1} holds two apps on two processors.
+        ({"t0": 6, "t1": 2}, [{"t1"}, {"t1"}, {"t0", "t1"}], [0, 1, 2]),
+    ],
+)
+def test_limits_match_the_hall_condition_on_edge_cases(remaining, supports, pending):
+    check_limits(remaining, supports, pending)

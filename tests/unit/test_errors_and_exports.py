@@ -1,6 +1,8 @@
 """Unit tests of the exception hierarchy and the public package surface."""
 
 import importlib
+import subprocess
+import sys
 
 import pytest
 
@@ -84,3 +86,15 @@ class TestPackageSurface:
 
         for cls in list(ALL_TECHNIQUES.values()) + list(HEURISTICS.values()):
             assert cls.__doc__ and cls.__doc__.strip(), cls
+
+    def test_subpackages_leave_scipy_stats_unloaded(self):
+        # Importing scipy.stats costs most of a cold start (~0.6-0.9 s);
+        # the normal CDF and the t quantile come from scipy.special. A
+        # fresh interpreter, since this one may have loaded it already.
+        code = (
+            "import sys\n"
+            "import repro.pmf, repro.ra, repro.sim, repro.framework, repro.paper\n"
+            "sys.exit('scipy.stats' in sys.modules)\n"
+        )
+        run = subprocess.run([sys.executable, "-c", code], timeout=120)
+        assert run.returncode == 0, "importing repro loaded scipy.stats"

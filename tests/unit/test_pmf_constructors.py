@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import PMFError
 from repro.pmf import (
+    PMF,
     deterministic,
     discretized_normal,
     from_mapping,
@@ -94,6 +95,35 @@ class TestDiscretizedNormal:
     def test_all_mass_below_zero_rejected(self):
         with pytest.raises(PMFError):
             discretized_normal(-100.0, 1.0, clip_at_zero=True)
+
+    @pytest.mark.parametrize(
+        "mean, std, n_points, clip",
+        [
+            (1800.0, 180.0, 501, True),
+            (100.0, 30.0, 101, True),
+            (1.0, 2.0, 41, True),
+            (0.0, 1.0, 7, False),
+            (-3.5, 0.25, 2, False),
+        ],
+    )
+    def test_equals_scipy_stats_reference(self, mean, std, n_points, clip):
+        # Cell masses come from scipy.special.ndtr; they must keep the
+        # bits of the scipy.stats.norm.cdf construction they replaced.
+        from scipy import stats
+
+        lo, hi = mean - 5.0 * std, mean + 5.0 * std
+        if clip:
+            lo = max(lo, 0.0)
+        grid = np.linspace(lo, hi, n_points)
+        half = (grid[1] - grid[0]) / 2.0
+        edges = np.concatenate(
+            ([lo - half], (grid[:-1] + grid[1:]) / 2.0, [hi + half])
+        )
+        probs = np.diff(stats.norm.cdf(edges, loc=mean, scale=std))
+        reference = PMF(grid, probs, normalize=True)
+        pmf = discretized_normal(mean, std, n_points=n_points, clip_at_zero=clip)
+        assert np.array_equal(pmf.support(), reference.support())
+        assert np.array_equal(pmf.probs, reference.probs)
 
     def test_paper_cdf_value(self):
         # Pr(N(8000, 800) parallel-time <= x) enters the phi_1 numbers;

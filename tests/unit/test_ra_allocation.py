@@ -202,17 +202,24 @@ class TestSearchSpace:
             )
         assert space.capacity == {"type1": 4, "type2": 8}
 
+    def admits(self, space, group, remaining, pending):
+        return group.size <= space.limits(remaining, pending)[group.ptype.name]
+
     def test_admits_checks_capacity(self, space):
         remaining = {"type1": 2, "type2": 8}
-        assert space.admits(self.group(space, "type1", 2), remaining, [])
-        assert not space.admits(self.group(space, "type1", 4), remaining, [])
+        assert space.limits(remaining, []) == remaining
+        assert self.admits(space, self.group(space, "type1", 2), remaining, [])
+        assert not self.admits(space, self.group(space, "type1", 4), remaining, [])
 
     def test_admits_keeps_a_processor_for_each_pending_app(self, space):
         remaining = {"type1": 1, "type2": 8}
+        assert space.limits(remaining, ["app2", "app3"]) == {"type1": 1, "type2": 7}
         whole_type2 = self.group(space, "type2", 8)
-        assert space.admits(whole_type2, remaining, ["app2"])
-        assert not space.admits(whole_type2, remaining, ["app2", "app3"])
-        assert space.admits(self.group(space, "type2", 4), remaining, ["app2", "app3"])
+        assert self.admits(space, whole_type2, remaining, ["app2"])
+        assert not self.admits(space, whole_type2, remaining, ["app2", "app3"])
+        assert self.admits(
+            space, self.group(space, "type2", 4), remaining, ["app2", "app3"]
+        )
 
     def test_fits(self, space):
         assert space.fits(

@@ -7,6 +7,7 @@ against ground truth.
 
 import inspect
 
+import numpy as np
 import pytest
 
 from repro.apps import (
@@ -17,7 +18,7 @@ from repro.apps import (
     random_instance,
 )
 from repro.errors import InfeasibleAllocationError
-from repro.pmf import percent_availability
+from repro.pmf import PMF, percent_availability
 from repro.ra import naive as naive_module
 from repro.ra import (
     AnnealingAllocator,
@@ -183,6 +184,31 @@ class TestMetaheuristics:
         b = GeneticAllocator(population=10, generations=5, rng=2).allocate(evaluator)
         assert a.allocation == b.allocation
 
+    def test_genetic_repair_moves_the_app_that_can_move(self):
+        # typeA has one processor and app1 runs only there. A chromosome
+        # that also puts app2 on typeA must be repaired by moving app2 to
+        # typeB, not abandoned because app1 cannot shrink or move.
+        system = HeterogeneousSystem(
+            [ProcessorType("typeA", 1), ProcessorType("typeB", 4)]
+        )
+        batch = Batch(
+            [
+                Application("app1", 0, 100, normal_exectime_model({"typeA": 1000.0})),
+                Application(
+                    "app2",
+                    0,
+                    100,
+                    normal_exectime_model({"typeA": 1000.0, "typeB": 1000.0}),
+                ),
+            ]
+        )
+        evaluator = StageIEvaluator(batch, system, 2000.0)
+        assert ExhaustiveAllocator().allocate(evaluator).robustness == 1.0
+        for seed in range(5):
+            result = GeneticAllocator(rng=seed).allocate(evaluator)
+            assert result.allocation.group("app1").ptype.name == "typeA"
+            assert result.robustness == 1.0
+
     def test_genetic_validation(self):
         with pytest.raises(ValueError):
             GeneticAllocator(population=1)
@@ -289,6 +315,44 @@ def seeded_evaluator():
     return StageIEvaluator(batch, system, 2800.0)
 
 
+def restricted_evaluator():
+    """A seeded 4-app, 3-type instance whose apps run on different type subsets.
+
+    ``a0`` runs on every type, ``a1`` and ``a3`` only on ``t2``, ``a2`` on
+    ``t1`` and ``t2``. The Hall look-ahead here rejects candidates because
+    a proper subset of the types (such as ``{t2}``) would run short, which
+    no instance whose apps all run on every type can show. Every heuristic
+    finds an allocation, and at this deadline six distinct phi_1 values
+    come out of the ten.
+    """
+    gen = np.random.default_rng(21)
+    system = HeterogeneousSystem(
+        ProcessorType(
+            f"t{j}",
+            int(gen.integers(1, 9)),
+            availability=PMF(np.sort(gen.uniform(0.3, 1.0, 2)), [0.5, 0.5]),
+        )
+        for j in range(3)
+    )
+    apps = []
+    for i in range(4):
+        support = int(gen.integers(1, 8))  # non-empty subset of the 3 types
+        means = {
+            f"t{j}": float(gen.uniform(500.0, 4000.0))
+            for j in range(3)
+            if support >> j & 1
+        }
+        apps.append(
+            Application(
+                f"a{i}",
+                int(gen.integers(0, 100)),
+                int(gen.integers(50, 2000)),
+                normal_exectime_model(means, cv=0.2),
+            )
+        )
+    return StageIEvaluator(Batch(apps), system, 2500.0)
+
+
 #: (instance, heuristic) -> (allocation as "app:type:size" rows, exact
 #: phi_1, evaluations). Randomized heuristics run with ``rng=7``.
 PINNED = {
@@ -332,13 +396,37 @@ PINNED = {
         ("app1:type1:4 app2:type3:8 app3:type1:2 app4:type1:2", 0.50106918329376, 2800),
     ("seeded", "sufferage"):
         ("app1:type1:8 app2:type3:8 app3:type2:2 app4:type2:2", 0.007004689338880879, 71),
+    ("restricted", "branch-and-bound"):
+        ("a0:t2:1 a1:t2:2 a2:t1:4 a3:t2:2", 0.3366374235920712, 64),
+    ("restricted", "exhaustive-optimal"):
+        ("a0:t2:1 a1:t2:2 a2:t1:4 a3:t2:2", 0.3366374235920712, 145),
+    ("restricted", "genetic"):
+        ("a0:t2:1 a1:t2:2 a2:t1:4 a3:t2:2", 0.3366374235920712, 2440),
+    ("restricted", "greedy-packing"):
+        ("a0:t0:2 a1:t2:1 a2:t1:4 a3:t2:4", 0.14693559572047066, 31),
+    ("restricted", "greedy-robust"):
+        ("a0:t1:2 a1:t2:1 a2:t1:4 a3:t2:4", 0.17315809239772884, 31),
+    ("restricted", "max-min"):
+        ("a0:t1:4 a1:t2:1 a2:t2:2 a3:t2:2", 0.32969887932184394, 39),
+    ("restricted", "min-min"):
+        ("a0:t1:4 a1:t2:4 a2:t1:2 a3:t2:1", 0.051513451981973726, 31),
+    ("restricted", "naive-equal-share"):
+        ("a0:t1:2 a1:t2:2 a2:t1:2 a3:t2:2", 0.15326004195323298, 2),
+    ("restricted", "simulated-annealing"):
+        ("a0:t2:1 a1:t2:2 a2:t1:4 a3:t2:2", 0.3366374235920712, 1882),
+    ("restricted", "sufferage"):
+        ("a0:t1:4 a1:t2:1 a2:t2:2 a3:t2:2", 0.32969887932184394, 39),
 }
 
 
-@pytest.mark.parametrize("instance", ["paper", "seeded"])
+@pytest.mark.parametrize("instance", ["paper", "seeded", "restricted"])
 @pytest.mark.parametrize("name", sorted(HEURISTICS))
 def test_pinned_answer(name, instance, evaluator):
-    ev = evaluator if instance == "paper" else seeded_evaluator()
+    ev = {
+        "paper": lambda: evaluator,
+        "seeded": seeded_evaluator,
+        "restricted": restricted_evaluator,
+    }[instance]()
     result = make_heuristic(name).allocate(ev)
     rows = " ".join(f"{app}:{ptype}:{size}" for app, ptype, size in table(result))
     assert (rows, result.robustness, result.evaluations) == PINNED[instance, name]

@@ -1,5 +1,6 @@
 """Unit tests of the simulation result records (repro.sim.results)."""
 
+import numpy as np
 import pytest
 
 from repro.sim import (
@@ -134,3 +135,18 @@ class TestMeanCI:
         assert (large.mean_ci()[1] - large.mean_ci()[0]) < (
             small.mean_ci()[1] - small.mean_ci()[0]
         )
+
+    @pytest.mark.parametrize("confidence", [0.8, 0.95, 0.99])
+    @pytest.mark.parametrize("n", [2, 3, 7, 30, 400])
+    def test_equals_scipy_stats_reference(self, n, confidence):
+        # The t quantile comes from scipy.special.stdtrit; the interval
+        # must keep the bits of the scipy.stats.t.ppf form it replaced.
+        from scipy import stats
+
+        makespans = tuple(1000.0 + 37.5 * ((7 * k) % 11) for k in range(n))
+        arr = np.asarray(makespans)
+        sem = float(arr.std(ddof=1)) / np.sqrt(n)
+        t = float(stats.t.ppf(0.5 + confidence / 2.0, df=n - 1))
+        mean = float(arr.mean())
+        got = ReplicatedAppStats("a", "FAC", makespans).mean_ci(confidence)
+        assert got == (mean - t * sem, mean + t * sem)
