@@ -68,7 +68,7 @@ def combine(
             f"{(len(a), len(b))}, got {values.shape}"
         )
     probs = a.probs[:, None] * b.probs[None, :]
-    out = PMF(values.ravel(), probs.ravel())
+    out = PMF._in_order(values.ravel(), probs.ravel(), _row_major_order(values))
     truncated = max_points is not None and len(out) > max_points
     if truncated:
         assert max_points is not None
@@ -83,6 +83,28 @@ def combine(
         if truncated:
             incr("pmf.truncations")
     return out
+
+
+def _row_major_order(values: np.ndarray) -> np.ndarray:
+    """Stable argsort of ``values.ravel()``, sorted through its columns.
+
+    ``values`` is :func:`combine`'s outer product ``fn(a, b)``. When ``fn``
+    is monotone in its first argument (``x + y``, ``t / a``), each column
+    is sorted, so the column-major layout is ``len(b)`` presorted runs,
+    which a stable sort merges far faster than the interleaved row-major
+    one. Its ties come out in column-major order; where an exact tie is not
+    also in row-major order, sort the row-major layout instead.
+    """
+    rows, cols = values.shape
+    by_column = values.T.ravel()
+    by_value = np.argsort(by_column, kind="stable")
+    # the row-major index of each column-major position, in value order
+    order = np.arange(values.size).reshape(rows, cols).T.ravel()[by_value]
+    ranked = by_column[by_value]
+    tie = ranked[1:] == ranked[:-1]
+    if (tie & (order[1:] < order[:-1])).any():
+        return np.argsort(values.ravel(), kind="stable")
+    return order
 
 
 def convolve(a: PMF, b: PMF, *, max_points: int | None = DEFAULT_MAX_POINTS) -> PMF:
@@ -120,17 +142,20 @@ def _extreme(pmfs: Sequence[PMF], *, largest: bool) -> PMF:
     if not pmfs:
         raise PMFError("need at least one PMF")
     support = np.unique(np.concatenate([p.values for p in pmfs]))
-    if largest:
-        # Pr(max <= x) = prod Pr(X_i <= x)
-        cdf = np.ones_like(support)
-        for p in pmfs:
-            cdf = cdf * np.asarray(p.cdf(support))
-    else:
-        # Pr(min <= x) = 1 - prod Pr(X_i > x); use strict survival at x.
-        surv = np.ones_like(support)
-        for p in pmfs:
-            surv = surv * (1.0 - np.asarray(p.cdf(support)))
-        cdf = 1.0 - surv
+    acc = np.ones_like(support)
+    for p in pmfs:
+        # Each PMF's points lie in the union support, so Pr(X_i <= x) on
+        # it is the PMF's CDF table, stepped up at the positions of its
+        # own points.
+        steps = np.diff(support.searchsorted(p.values), prepend=0, append=support.size)
+        cdf = np.repeat(p._cdf_table(), steps)
+        if largest:
+            # Pr(max <= x) = prod Pr(X_i <= x)
+            acc *= cdf
+        else:
+            # Pr(min <= x) = 1 - prod Pr(X_i > x); use strict survival at x.
+            acc *= 1.0 - cdf
+    cdf = acc if largest else 1.0 - acc
     probs = np.diff(np.concatenate(([0.0], cdf)))
     return PMF(support, probs, normalize=True)
 

@@ -29,30 +29,49 @@ PROB_TOL = 1e-9
 
 
 def _canonicalize(
-    values: np.ndarray, probs: np.ndarray, *, merge_tol: float
+    values: np.ndarray, probs: np.ndarray, *, merge_tol: float, presorted: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sort by value and merge (near-)duplicate support points."""
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    probs = probs[order]
-    if values.size > 1:
-        # Merge consecutive values that coincide within merge_tol. Scale the
-        # tolerance by magnitude so large time values merge sensibly.
-        scale = np.maximum(1.0, np.abs(values[:-1]))
-        distinct = np.diff(values) > merge_tol * scale
-        if not distinct.all():
-            # group id per element: 0 for the first, +1 at each distinct value
-            group = np.concatenate(([0], np.cumsum(distinct)))
-            n_groups = group[-1] + 1
-            merged_probs = np.zeros(n_groups)
-            np.add.at(merged_probs, group, probs)
-            # Representative value: probability-weighted mean of the merged
-            # points, so expectation is preserved exactly under merging.
-            merged_values = np.zeros(n_groups)
-            np.add.at(merged_values, group, probs * values)
-            merged_values /= merged_probs
-            values, probs = merged_values, merged_probs
-    return values, probs
+    """Sort by value and merge (near-)duplicate support points.
+
+    The rules, not any sort algorithm, are the contract:
+
+    * points come out in non-decreasing value order, and exact ties keep
+      their input order;
+    * consecutive points closer than ``merge_tol`` (relative to the value's
+      magnitude, absolute below 1) merge into one pulse: its probability is
+      their sum and its value their probability-weighted mean, both
+      accumulated in sorted order, so merging preserves the expectation;
+    * when any pair merges, every value becomes ``(p*v)/p``, a lone
+      point's too.
+
+    Non-decreasing input is not sorted again; ``presorted`` says the caller
+    already put the points in that order.
+    """
+    step = values[1:] - values[:-1]
+    if not presorted and (step < 0.0).any():
+        order = np.argsort(values, kind="stable")
+        values = values[order]
+        probs = probs[order]
+        step = values[1:] - values[:-1]
+    # Merge consecutive values that coincide within merge_tol. Scale the
+    # tolerance by magnitude so large time values merge sensibly.
+    tol = np.abs(values[:-1])
+    np.maximum(tol, 1.0, out=tol)
+    tol *= merge_tol
+    distinct = step > tol
+    if distinct.all():
+        return values, probs
+    # group id per point: 0 for the first, +1 at each distinct value
+    group = np.zeros(values.size, dtype=np.intp)
+    np.cumsum(distinct, out=group[1:])
+    # bincount adds its weights in index order, so each group's sums
+    # accumulate in sorted order.
+    merged_probs = np.bincount(group, weights=probs)
+    # Representative value: probability-weighted mean of the merged
+    # points, so expectation is preserved exactly under merging.
+    merged_values = np.bincount(group, weights=probs * values)
+    merged_values /= merged_probs
+    return merged_values, merged_probs
 
 
 class PMF:
@@ -62,7 +81,10 @@ class PMF:
     ----------
     values:
         Support points (any real numbers; times and availabilities in this
-        library). Duplicates are merged (probabilities summed).
+        library), in any order. They are sorted with exact ties kept in
+        input order, and duplicates are merged (probabilities summed); when
+        any pair merges, every value becomes ``(p*v)/p``. These rules, not
+        a sort algorithm, fix the stored bits.
     probs:
         Probabilities, same length as ``values``. Must be non-negative and
         sum to 1 within :data:`PROB_TOL` (unless ``normalize=True``).
@@ -88,33 +110,60 @@ class PMF:
                        dtype=np.float64).ravel()
         p = np.asarray(list(probs) if not isinstance(probs, np.ndarray) else probs,
                        dtype=np.float64).ravel()
-        if v.size == 0:
+        self._build(v, p, normalize=normalize, merge_tol=merge_tol, order=None)
+
+    @classmethod
+    def _in_order(cls, values: np.ndarray, probs: np.ndarray, order: np.ndarray) -> PMF:
+        """``PMF(values, probs)``, given ``order``, the stable argsort of ``values``.
+
+        The constructor's checks and arithmetic, without its sort.
+        """
+        pmf = cls.__new__(cls)
+        pmf._build(values, probs, normalize=False, merge_tol=1e-12, order=order)
+        return pmf
+
+    def _build(
+        self,
+        values: np.ndarray,
+        probs: np.ndarray,
+        *,
+        normalize: bool,
+        merge_tol: float,
+        order: np.ndarray | None,
+    ) -> None:
+        """Validate, normalize and canonicalize flat ``float64`` arrays."""
+        if values.size == 0:
             raise PMFError("a PMF needs at least one support point")
-        if v.shape != p.shape:
+        if values.shape != probs.shape:
             raise PMFError(
-                f"values and probs must have equal length, got {v.size} != {p.size}"
+                f"values and probs must have equal length, got {values.size} != {probs.size}"
             )
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(values).all():
             raise PMFError("PMF support contains non-finite values")
-        if not np.all(np.isfinite(p)):
+        if not np.isfinite(probs).all():
             raise PMFError("PMF probabilities contain non-finite values")
-        if np.any(p < -PROB_TOL):
+        if (probs < -PROB_TOL).any():
             raise PMFError("PMF probabilities must be non-negative")
-        p = np.clip(p, 0.0, None)
+        p = np.maximum(probs, 0.0)
         total = p.sum()
         if normalize:
             if total <= 0.0:
                 raise PMFError("cannot normalize a PMF with zero total mass")
-            p = p / total
         elif abs(total - 1.0) > 1e-6:
             raise PMFError(f"PMF probabilities sum to {total!r}, expected 1")
-        else:
-            p = p / total  # remove rounding drift
-        keep = p > 0.0
-        v, p = v[keep], p[keep]
-        if v.size == 0:
-            raise PMFError("all support points have zero probability")
-        v, p = _canonicalize(v, p, merge_tol=merge_tol)
+        p = p / total  # without normalize, this removes rounding drift
+        v = values
+        if order is not None:
+            v = v[order]
+            p = p[order]
+        if not p.min() > 0.0:
+            keep = p > 0.0
+            v, p = v[keep], p[keep]
+            if v.size == 0:
+                raise PMFError("all support points have zero probability")
+        v, p = _canonicalize(v, p, merge_tol=merge_tol, presorted=order is not None)
+        if v is values:  # never share (or freeze) the caller's array
+            v = v.copy()
         p = p / p.sum()
         v.setflags(write=False)
         p.setflags(write=False)
@@ -163,17 +212,27 @@ class PMF:
 
     def cdf(self, x: float | np.ndarray) -> float | np.ndarray:
         """``Pr(X <= x)``, vectorized over ``x``; a NaN ``x`` is rejected."""
-        xs = np.asarray(x, dtype=np.float64)
         # searchsorted sorts NaN last, so a NaN would read as Pr = 1.
-        if (np.isnan(xs).any() if xs.ndim else math.isnan(xs)):
+        if isinstance(x, float) or np.ndim(x) == 0:
+            xf = float(x)
+            if math.isnan(xf):
+                raise PMFError(f"cdf argument x must not be NaN, got {x!r}")
+            idx = int(self._values.searchsorted(xf, side="right"))
+            # cumsum adds in order, so a prefix's last entry is the full
+            # cumulative table's entry at idx - 1.
+            return min(float(self._probs[:idx].cumsum()[-1]), 1.0) if idx else 0.0
+        xs = np.asarray(x, dtype=np.float64)
+        if np.isnan(xs).any():
             raise PMFError(f"cdf argument x must not be NaN, got {x!r}")
-        cum = np.minimum(np.cumsum(self._probs), 1.0)
-        idx = np.searchsorted(self._values, xs, side="right")
-        out = np.where(idx > 0, cum[np.minimum(idx, len(cum)) - 1], 0.0)
-        out = np.where(idx == 0, 0.0, out)
-        if np.isscalar(x) or np.ndim(x) == 0:
-            return float(out)
-        return out
+        return self._cdf_table()[self._values.searchsorted(xs, side="right")]
+
+    def _cdf_table(self) -> np.ndarray:
+        """The CDF by rank: entry ``k`` is ``Pr(X <= x)`` for any ``x``
+        with exactly ``k`` support points at or below it."""
+        table = np.empty(self._values.size + 1)
+        table[0] = 0.0
+        np.minimum(self._probs.cumsum(), 1.0, out=table[1:])
+        return table
 
     def prob_leq(self, x: float) -> float:
         """``Pr(X <= x)`` — the stage-I deadline probability primitive."""
@@ -214,7 +273,7 @@ class PMF:
         new_values = np.asarray(fn(self._values), dtype=np.float64)
         if new_values.shape != self._values.shape:
             raise PMFError("map_values function must preserve the support shape")
-        return PMF(new_values, self._probs.copy(), merge_tol=1e-12)
+        return PMF(new_values, self._probs, merge_tol=1e-12)
 
     def truncate(self, max_points: int) -> "PMF":
         """Reduce the support to at most ``max_points`` pulses.
@@ -234,10 +293,8 @@ class PMF:
         edges = np.linspace(lo, hi, max_points + 1)
         bins = np.clip(np.searchsorted(edges, self._values, side="right") - 1,
                        0, max_points - 1)
-        probs = np.zeros(max_points)
-        np.add.at(probs, bins, self._probs)
-        vals = np.zeros(max_points)
-        np.add.at(vals, bins, self._probs * self._values)
+        probs = np.bincount(bins, weights=self._probs, minlength=max_points)
+        vals = np.bincount(bins, weights=self._probs * self._values, minlength=max_points)
         keep = probs > 0
         vals = vals[keep] / probs[keep]
         return PMF(vals, probs[keep], normalize=True)

@@ -7,7 +7,8 @@ cites as the natural stage-I engine for larger problems.
 Chromosome: one gene per application, each gene an index into that
 application's candidate-group list. Infeasible chromosomes (oversubscribed
 types) are *repaired* by shrinking the largest groups of the oversubscribed
-type until feasible, so crossover and mutation always produce valid
+type until feasible; should those moves cycle, the Hall look-ahead settles
+the chromosome app by app. So crossover and mutation always produce valid
 allocations. Fitness is stage-I robustness phi_1; selection is tournament;
 elitism preserves the best individual.
 """
@@ -20,7 +21,6 @@ from ..errors import InfeasibleAllocationError
 from ..exec import ExecutionBackend, evaluate_allocations
 from ..rng import ensure_rng
 from ..system import ProcessorGroup
-from .allocation import type_usage
 from .base import RAHeuristic, RAResult, SearchSpace
 from .robustness import StageIEvaluator
 
@@ -80,63 +80,87 @@ class GeneticAllocator(RAHeuristic):
     ) -> RAResult:
         gen = ensure_rng(self._rng)
         space = SearchSpace(evaluator)
-        names, candidates = space.names, space.candidates
+        names, candidates, capacity = space.names, space.candidates, space.capacity
         evaluations = 0
+        # Per application (in ``names`` order) and gene: the group's type
+        # name and size, the gene of the next smaller group of that type
+        # (None if there is none) and the genes on other types.
+        types = [[g.ptype.name for g in candidates[n]] for n in names]
+        sizes = [[g.size for g in candidates[n]] for n in names]
+        shrink: list[list[int | None]] = []
+        others: list[list[list[int]]] = []
+        for ts, ss in zip(types, sizes):
+            genes = range(len(ts))
+            shrink.append([
+                max(
+                    (k for k in genes if ts[k] == ts[g] and ss[k] < ss[g]),
+                    key=ss.__getitem__,
+                    default=None,
+                )
+                for g in genes
+            ])
+            others.append([[k for k in genes if ts[k] != ts[g]] for g in genes])
 
         def decode(chrom: np.ndarray) -> dict[str, ProcessorGroup]:
             return {
-                name: candidates[name][int(g)] for name, g in zip(names, chrom)
+                name: candidates[name][g] for name, g in zip(names, chrom.tolist())
             }
 
         def repair(chrom: np.ndarray) -> np.ndarray:
             """Shrink largest groups of oversubscribed types until feasible."""
             chrom = chrom.copy()
-            for _ in range(64):  # bounded; each pass strictly reduces usage
-                state = decode(chrom)
-                over = [
-                    t
-                    for t, used in type_usage(state.values()).items()
-                    if used > space.capacity[t]
-                ]
-                if not over:
+            for _ in range(64):  # bounded; moves between types may cycle
+                genes = chrom.tolist()
+                usage: dict[str, int] = {}
+                for ts, ss, g in zip(types, sizes, genes):
+                    usage[ts[g]] = usage.get(ts[g], 0) + ss[g]
+                tname = next((t for t, used in usage.items() if used > capacity[t]), None)
+                if tname is None:
                     return chrom
-                tname = over[0]
-                # Largest group of the oversubscribed type that can shrink
-                # or move to another type.
-                movable = [
-                    n
-                    for n in names
-                    if state[n].ptype.name == tname
-                    and any(
-                        g.ptype.name != tname or g.size < state[n].size
-                        for g in candidates[n]
-                    )
-                ]
-                if not movable:
+                # First of the largest groups of the oversubscribed type
+                # that can shrink or move to another type.
+                victim, largest = -1, 0
+                for i, g in enumerate(genes):
+                    if (
+                        types[i][g] == tname
+                        and sizes[i][g] > largest
+                        and (shrink[i][g] is not None or others[i][g])
+                    ):
+                        victim, largest = i, sizes[i][g]
+                if victim < 0:
                     raise InfeasibleAllocationError(
                         f"cannot repair allocation: every application on "
                         f"{tname!r} has one processor and no other type"
                     )
-                victim = max(movable, key=lambda n: state[n].size)
-                current = state[victim]
-                smaller = [
-                    k
-                    for k, g in enumerate(candidates[victim])
-                    if g.ptype.name == tname and g.size < current.size
-                ]
-                if smaller:
-                    chrom[names.index(victim)] = max(
-                        smaller, key=lambda k: candidates[victim][k].size
-                    )
+                g = genes[victim]
+                smaller = shrink[victim][g]
+                if smaller is not None:
+                    chrom[victim] = smaller
                 else:
                     # Cannot shrink: move the victim to a random other type.
-                    other = [
-                        k
-                        for k, g in enumerate(candidates[victim])
-                        if g.ptype.name != tname
-                    ]
-                    chrom[names.index(victim)] = other[int(gen.integers(len(other)))]
-            raise InfeasibleAllocationError("GA repair failed to converge")
+                    other = others[victim][g]
+                    chrom[victim] = other[int(gen.integers(len(other)))]
+            return settle(chrom)
+
+        def settle(chrom: np.ndarray) -> np.ndarray:
+            """Make ``chrom`` feasible app by app under the look-ahead.
+
+            Each gene is kept if it is admissible given the apps before it,
+            else replaced by the largest admissible group; the look-ahead
+            finds one for every app whenever any feasible allocation exists.
+            """
+            remaining = dict(capacity)
+            for i, g in enumerate(chrom.tolist()):
+                limit = space.limits(remaining, names[i + 1:])
+                ts, ss = types[i], sizes[i]
+                if ss[g] > limit[ts[g]]:
+                    fits = [k for k, s in enumerate(ss) if s <= limit[ts[k]]]
+                    if not fits:
+                        raise InfeasibleAllocationError("no feasible allocation exists")
+                    g = max(fits, key=ss.__getitem__)
+                    chrom[i] = g
+                remaining[ts[g]] -= ss[g]
+            return chrom
 
         def population_fitness(chroms: list[np.ndarray]) -> np.ndarray:
             # One fan-out per generation through the shared stage-I

@@ -71,6 +71,18 @@ class TestConstruction:
         with pytest.raises(ValueError):
             simple_pmf.probs[0] = 99.0
 
+    def test_caller_arrays_stay_writable_and_unshared(self):
+        # Sorted input with no zero probability skips the sort and the
+        # filter; the PMF must still own a copy of the support.
+        values = np.array([1.0, 2.0, 4.0])
+        probs = np.array([0.25, 0.25, 0.5])
+        pmf = PMF(values, probs)
+        assert values.flags.writeable and probs.flags.writeable
+        values[0] = 99.0
+        probs[0] = 0.0
+        assert pmf.values.tolist() == [1.0, 2.0, 4.0]
+        assert pmf.probs.tolist() == [0.25, 0.25, 0.5]
+
     def test_rounding_drift_is_normalized(self):
         # Sum = 1 + 5e-7: inside tolerance, silently renormalized.
         pmf = PMF([1.0, 2.0], [0.5, 0.5 + 5e-7])

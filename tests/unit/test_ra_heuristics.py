@@ -209,6 +209,50 @@ class TestMetaheuristics:
             assert result.allocation.group("app1").ptype.name == "typeA"
             assert result.robustness == 1.0
 
+    def test_genetic_repair_converges_when_moves_cycle(self):
+        # Types t0 (2 processors), t1 (1) and t2 (3); a0 runs only on t1,
+        # a3 only on t2, a1 and a2 on t1 or t2, a4 anywhere. Repair's
+        # random moves send apps back and forth between t1 and t2, so it
+        # finishes with the look-ahead, which always finds a feasible
+        # allocation when one exists.
+        gen = np.random.default_rng(172)
+        nt = int(gen.integers(2, 6))
+        system = HeterogeneousSystem(
+            ProcessorType(
+                f"t{j}",
+                int(gen.integers(1, 9)),
+                availability=PMF(np.sort(gen.uniform(0.3, 1.0, 2)), [0.5, 0.5]),
+            )
+            for j in range(nt)
+        )
+        apps = []
+        for i in range(int(gen.integers(3, 10))):
+            support = int(gen.integers(1, 2**nt))
+            means = {
+                f"t{j}": float(gen.uniform(500.0, 4000.0))
+                for j in range(nt)
+                if support >> j & 1
+            }
+            apps.append(
+                Application(
+                    f"a{i}",
+                    int(gen.integers(0, 100)),
+                    int(gen.integers(50, 2000)),
+                    normal_exectime_model(means, cv=0.2),
+                )
+            )
+        batch = Batch(apps)
+        optimum = ExhaustiveAllocator().allocate(
+            StageIEvaluator(batch, system, 3000.0)
+        ).robustness
+        for seed in range(5):
+            evaluator = StageIEvaluator(batch, system, 3000.0)
+            result = GeneticAllocator(rng=seed).allocate(evaluator)
+            for type_name, used in result.allocation.usage().items():
+                assert used <= system.type(type_name).count
+            assert result.robustness == evaluator.robustness(result.allocation)
+            assert 0.0 < result.robustness <= optimum
+
     def test_genetic_validation(self):
         with pytest.raises(ValueError):
             GeneticAllocator(population=1)
