@@ -3,8 +3,14 @@
 The CDSF reproduction rests on a handful of invariants that ordinary
 linters cannot express: all randomness flows through :mod:`repro.rng`,
 :class:`~repro.pmf.PMF` instances are immutable, every concrete technique /
-heuristic is reachable through its registry, and time/probability values
-are never compared with ``==``. This package machine-checks them.
+heuristic is reachable through its registry, time/probability values
+are never compared with ``==``, pool payloads pickle, and trace names
+match the schema registry. This package machine-checks them.
+
+Every rule reads one module at a time and resolves names through that
+module's own import statements (:meth:`~repro._lint.core.Module.resolve`);
+only registry completeness (REG001/REG002) and schema coverage (OBS103)
+compare modules with each other. There is no call graph.
 
 Entry points
 ------------
@@ -29,24 +35,20 @@ from .core import (
     register,
     run_lint,
 )
-from .graph import ProjectGraph
 
 # Importing the rule modules populates the registry (side-effect imports).
-from . import rules_rng  # noqa: F401  (registers RNG001-RNG003)
+from . import rules_rng  # noqa: F401  (registers RNG001-RNG003, RNG101)
 from . import rules_pmf  # noqa: F401  (registers PMF001)
 from . import rules_registry  # noqa: F401  (registers REG001-REG002)
 from . import rules_floats  # noqa: F401  (registers FLT001)
 from . import rules_exports  # noqa: F401  (registers ALL001-ALL003)
 from . import rules_obs  # noqa: F401  (registers OBS001-OBS002)
-from . import rules_exec  # noqa: F401  (registers EXEC001)
-from . import rules_poolsafety  # noqa: F401  (registers EXEC101-EXEC102)
-from . import rules_determinism  # noqa: F401  (registers RNG101)
+from . import rules_exec  # noqa: F401  (registers EXEC001, EXEC101-EXEC102)
 from . import rules_schema  # noqa: F401  (registers OBS101-OBS103)
 
 __all__ = [
     "Finding",
     "Module",
-    "ProjectGraph",
     "Rule",
     "all_rules",
     "known_ids",

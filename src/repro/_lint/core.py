@@ -12,6 +12,12 @@ Path gating uses ``Module.pkgpath`` — the module's path *inside* the
 identically whether the scan root is ``src``, ``src/repro``, or a test
 fixture tree containing a ``repro`` directory.
 
+Names resolve through the module's own import statements
+(:attr:`Module.imports`, :meth:`Module.resolve`): ``np.random.seed``
+under ``import numpy as np`` is ``numpy.random.seed``, and ``incr``
+under ``from ..obs import incr`` in ``sim/loopsim.py`` is
+``repro.obs.incr``. Nothing follows a name into the module it names.
+
 Suppression: a ``lint: skip=RULE1,RULE2`` (or ``skip=all``) hash-comment
 on the offending line silences findings for that line; the opt-in
 ``report_unused_skips`` audit flags entries that suppress nothing.
@@ -41,6 +47,9 @@ __all__ = [
 _SKIP_RE = re.compile(r"#\s*lint:\s*skip=([A-Za-z0-9_*,\s]+)")
 
 _RULE_ID_RE = re.compile(r"^[A-Z]{3,4}[0-9]{3}$")
+
+#: ``(qualname, node, own nodes)`` of one module, class or def.
+Scope = tuple[str, ast.AST, list[ast.AST]]
 
 
 @dataclass(frozen=True, order=True)
@@ -72,6 +81,8 @@ class Module:
     tree: ast.Module
     source: str
     _skips: dict[int, set[str]] | None = field(default=None, repr=False)
+    _imports: dict[str, str] | None = field(default=None, repr=False)
+    _scopes: list[Scope] | None = field(default=None, repr=False)
 
     @property
     def skips(self) -> dict[int, set[str]]:
@@ -90,9 +101,38 @@ class Module:
             self._skips = table
         return self._skips
 
-    def suppressed(self, line: int, rule_id: str) -> bool:
-        ids = self.skips.get(line)
-        return ids is not None and (rule_id in ids or "all" in ids or "*" in ids)
+    @property
+    def imports(self) -> dict[str, str]:
+        """Local name → dotted target, from every import in the module.
+
+        Function-local imports count too; where a name is imported twice,
+        the import ``ast.walk`` reaches last wins. Relative imports
+        resolve against :func:`module_name`.
+        """
+        if self._imports is None:
+            self._imports = _import_table(self)
+        return self._imports
+
+    @property
+    def scopes(self) -> list[Scope]:
+        """``(qualname, node, own nodes)`` for the module (``"<module>"``)
+        and for every class and def in it, nested ones included
+        (``"C.run"``, ``"f.inner"``).
+
+        A scope's own nodes stop at the classes and defs nested in it:
+        those are listed as nodes but not entered, so every node of the
+        tree but the root belongs to exactly one scope.
+        """
+        if self._scopes is None:
+            self._scopes = _scope_table(self.tree)
+        return self._scopes
+
+    def resolve(self, name: str) -> str:
+        """``name`` with its first segment replaced by its import target
+        (``np.zeros`` → ``numpy.zeros``); unchanged when not imported."""
+        head, dot, rest = name.partition(".")
+        target = self.imports.get(head)
+        return name if target is None else f"{target}{dot}{rest}"
 
     def finding(self, node: ast.AST, rule_id: str, message: str) -> Finding:
         """Build a finding anchored at ``node``."""
@@ -193,6 +233,70 @@ def dotted_name(node: ast.AST) -> str | None:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
+
+
+def module_name(pkgpath: str) -> str:
+    """Dotted name of a pkgpath: ``"sim/loopsim.py"`` → ``"repro.sim.loopsim"``.
+
+    A package ``__init__.py`` is its package (``"obs/__init__.py"`` →
+    ``"repro.obs"``, ``"__init__.py"`` → ``"repro"``).
+    """
+    stem = pkgpath[:-3] if pkgpath.endswith(".py") else pkgpath
+    parts = ["repro", *stem.split("/")]
+    if parts[-1] == "__init__":
+        parts.pop()
+    return ".".join(parts)
+
+
+def _import_table(module: Module) -> dict[str, str]:
+    modname = module_name(module.pkgpath)
+    package = (
+        modname
+        if module.pkgpath.endswith("__init__.py")
+        else modname.rpartition(".")[0]
+    )
+    table: dict[str, str] = {}
+    for node in ast.walk(module.tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    table[alias.asname] = alias.name
+                else:
+                    head = alias.name.split(".", 1)[0]
+                    table[head] = head
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                parts = package.split(".")
+                parts = parts[: max(1, len(parts) - (node.level - 1))]
+                base = ".".join([*parts, base] if base else parts)
+            for alias in node.names:
+                if alias.name != "*":
+                    local = alias.asname or alias.name
+                    table[local] = f"{base}.{alias.name}" if base else alias.name
+    return table
+
+
+_SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _scope_table(tree: ast.Module) -> list[Scope]:
+    table: list[Scope] = []
+    stack: list[tuple[str, ast.AST]] = [("<module>", tree)]
+    while stack:
+        qualname, scope = stack.pop()
+        nodes: list[ast.AST] = []
+        pending = list(ast.iter_child_nodes(scope))
+        while pending:
+            node = pending.pop()
+            nodes.append(node)
+            if isinstance(node, _SCOPE_NODES):
+                prefix = "" if scope is tree else f"{qualname}."
+                stack.append((f"{prefix}{node.name}", node))
+            else:
+                pending.extend(ast.iter_child_nodes(node))
+        table.append((qualname, scope, nodes))
+    return table
 
 
 def pkgpath_of(path: Path) -> str:

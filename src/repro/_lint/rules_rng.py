@@ -2,7 +2,7 @@
 
 Reproducibility of the paper's φ₁/ρ estimates requires every stochastic
 draw to flow through the seeded streams in :mod:`repro.rng`
-(``SeedSequence`` spawning). Three rules enforce the discipline:
+(``SeedSequence`` spawning). Four rules enforce the discipline:
 
 * ``RNG001`` — no direct ``np.random.*`` construction/seeding calls (and
   no ``numpy.random`` imports) outside the seeding modules
@@ -10,7 +10,13 @@ draw to flow through the seeded streams in :mod:`repro.rng`
 * ``RNG002`` — no stdlib ``random`` anywhere in the library;
 * ``RNG003`` — a public module-level function that obtains a generator via
   the :mod:`repro.rng` helpers must expose an ``rng``/``seed`` parameter,
-  so callers control the stream.
+  so callers control the stream;
+* ``RNG101`` — no call to a nondeterminism source (stdlib ``random``,
+  ``secrets``, ``uuid.uuid1/uuid4``, ``os.urandom``/``os.getrandom``,
+  the ``datetime.now`` family, or a ``time`` clock) outside the seeding
+  modules and ``repro/obs/``, whose wall-clock reads are its job. Names
+  resolve through the module's imports, so ``from os import urandom as
+  u; u(8)`` is ``os.urandom``.
 """
 
 from __future__ import annotations
@@ -20,8 +26,14 @@ import re
 from collections.abc import Iterator
 
 from .core import Finding, Module, Rule, dotted_name, register
+from .rules_obs import _CLOCK_NAMES, _in_obs
 
-__all__ = ["RngConstructionRule", "StdlibRandomRule", "SeedPathRule"]
+__all__ = [
+    "NondeterminismSourceRule",
+    "RngConstructionRule",
+    "SeedPathRule",
+    "StdlibRandomRule",
+]
 
 #: The one module allowed to touch ``numpy.random`` directly.
 _RNG_MODULE = "rng.py"
@@ -37,6 +49,22 @@ _RNG_HELPERS = frozenset({"make_rng", "ensure_rng", "spawn_rngs", "rng_stream"})
 
 #: Parameter names that count as an externally controlled seed path.
 _SEED_PARAM_RE = re.compile(r"^(rng|rngs|seed|seeds)$|_(rng|seed)$")
+
+#: Nondeterminism sources called by their full name (RNG101); besides
+#: these, every ``random.*`` and ``secrets.*`` call and the ``time``
+#: clocks.
+_EXACT_SINKS = frozenset(
+    {
+        "os.urandom",
+        "os.getrandom",
+        "uuid.uuid1",
+        "uuid.uuid4",
+        "datetime.datetime.now",
+        "datetime.datetime.utcnow",
+        "datetime.datetime.today",
+        "datetime.date.today",
+    }
+)
 
 
 @register
@@ -154,6 +182,48 @@ class SeedPathRule(Rule):
                 if name is not None and name.split(".")[-1] in _RNG_HELPERS:
                     return True
         return False
+
+
+def _is_sink(name: str) -> bool:
+    """Is the resolved callee ``name`` a nondeterminism source?"""
+    module, _, attr = name.partition(".")
+    return (
+        name in _EXACT_SINKS
+        or (module in ("random", "secrets") and bool(attr))
+        or (module == "time" and attr in _CLOCK_NAMES)
+    )
+
+
+@register
+class NondeterminismSourceRule(Rule):
+    id = "RNG101"
+    title = "no OS entropy, wall clock or stdlib random outside seeding and obs"
+    rationale = (
+        "a wall-clock or OS-entropy read in any helper breaks bit-for-bit "
+        "replay of simulations even when every generator passes the "
+        "RNG001 rule; randomness must thread through SeedTree-derived "
+        "generators"
+    )
+
+    def check_module(self, module: Module) -> Iterator[Finding]:
+        if module.pkgpath in _RNG_EXEMPT or _in_obs(module):
+            return
+        for qualname, _, nodes in module.scopes:
+            for node in nodes:
+                if not isinstance(node, ast.Call):
+                    continue
+                raw = dotted_name(node.func)
+                if raw is None:
+                    continue
+                sink = module.resolve(raw)
+                if _is_sink(sink):
+                    yield module.finding(
+                        node,
+                        self.id,
+                        f"nondeterministic `{sink}` called in `{qualname}`; "
+                        "thread randomness/clocks through SeedTree "
+                        "(repro.exec.seeds) or repro.rng instead",
+                    )
 
 
 def _param_names(func: ast.FunctionDef | ast.AsyncFunctionDef) -> list[str]:

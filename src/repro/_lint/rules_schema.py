@@ -1,11 +1,12 @@
-"""Trace-schema drift rules (whole-program).
+"""Trace-schema drift rules.
 
 :mod:`repro.obs.schema` declares every event, metric, and span name the
 library emits. Emitters (``obs.event``/``incr``/``gauge_set``/
-``observe_value``/``span`` call sites) and consumers (string literals
-that *match* trace names, e.g. in :mod:`repro.obs.timeline`) used to
-agree only by convention; this family machine-checks the agreement in
-both directions:
+``observe_value``/``span`` call sites, found by resolving each callee
+through its module's imports to a ``repro.obs`` name) and consumers
+(string literals that *match* trace names, e.g. in
+:mod:`repro.obs.timeline`) used to agree only by convention; this family
+machine-checks the agreement in both directions:
 
 * ``OBS101`` — an emitter passes a name (or f-string pattern) that the
   registry does not declare, emits a metric under the wrong kind, or
@@ -22,8 +23,10 @@ by AST (pure literals, never imported), so the rules work identically on
 ``src`` and on test fixture trees; with no parseable registry in the
 tree all three rules are silent. Dynamic names follow the
 ``{placeholder}``/f-string convention: one placeholder ≙ one dot-free
-segment. ``OBS103`` is only meaningful when the whole tree is scanned —
-lint ``src``, not a single file, to use it.
+segment. ``OBS101`` and ``OBS102`` judge each module against the
+registry alone; ``OBS103`` needs the emissions of every module, so it is
+only meaningful when the whole tree is scanned — lint ``src``, not a
+single file, to use it.
 """
 
 from __future__ import annotations
@@ -32,9 +35,9 @@ import ast
 import re
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .core import Finding, Module, Rule, dotted_name, register
-from .graph import ProjectGraph
 
 __all__ = ["SchemaDriftRule"]
 
@@ -63,13 +66,18 @@ class _Registry:
     spans: set[str] = field(default_factory=set)
     nodes: dict[tuple[str, str], ast.AST] = field(default_factory=dict)
 
-    @property
-    def namespaces(self) -> set[str]:
-        names = [*self.events, *self.metrics, *self.spans]
-        return {name.split(".", 1)[0] for name in names}
-
     def all_names(self) -> set[str]:
         return {*self.events, *self.metrics, *self.spans}
+
+    @cached_property
+    def trace_name_re(self) -> re.Pattern[str]:
+        """Literals that look like a trace name: a registry namespace
+        (``sim``, ``dls``, ...), a dot, and more name characters."""
+        namespaces = {name.split(".", 1)[0] for name in self.all_names()}
+        return re.compile(
+            r"^(?:" + "|".join(sorted(re.escape(ns) for ns in namespaces)) + r")"
+            r"\.[A-Za-z0-9_.{}*]+$"
+        )
 
 
 def _glob(name: str) -> str:
@@ -199,27 +207,22 @@ class _Emission:
     module: Module
 
 
-def _scan_emitters(graph: ProjectGraph) -> list[_Emission]:
+def _scan_emitters(module: Module) -> list[_Emission]:
+    """Every ``repro.obs`` emitter call in ``module`` with a literal name."""
     emissions: list[_Emission] = []
-    for info in graph.functions.values():
-        for site in info.calls:
-            resolved = site.resolved or ""
-            if not resolved.startswith("repro.obs"):
-                continue
-            category = _EMITTERS.get(resolved.rsplit(".", 1)[-1])
-            if category is None or not site.node.args:
-                continue
-            name = _emitted_name(site.node.args[0])
-            if name is None:
-                continue
-            emissions.append(
-                _Emission(
-                    name=name,
-                    category=category,
-                    call=site.node,
-                    module=info.module,
-                )
-            )
+    for node in ast.walk(module.tree):
+        if not isinstance(node, ast.Call) or not node.args:
+            continue
+        raw = dotted_name(node.func)
+        if raw is None:
+            continue
+        resolved = module.resolve(raw)
+        if not resolved.startswith("repro.obs"):
+            continue
+        category = _EMITTERS.get(resolved.rsplit(".", 1)[-1])
+        name = _emitted_name(node.args[0])
+        if category is not None and name is not None:
+            emissions.append(_Emission(name, category, node, module))
     return emissions
 
 
@@ -256,10 +259,12 @@ class SchemaDriftRule(Rule):
         registry = _extract_registry(modules)
         if registry is None:
             return
-        graph = ProjectGraph.for_modules(modules)
-        emissions = _scan_emitters(graph)
-        yield from self._check_emitters(registry, emissions)
-        yield from self._check_consumers(registry, modules, emissions)
+        emissions: list[_Emission] = []
+        for module in modules:
+            found = _scan_emitters(module)
+            yield from self._check_emitters(registry, found)
+            yield from self._check_consumers(registry, module, found)
+            emissions.extend(found)
         yield from self._check_coverage(registry, emissions)
 
     # ----------------------------------------------------------- OBS101
@@ -352,44 +357,31 @@ class SchemaDriftRule(Rule):
     # ----------------------------------------------------------- OBS102
 
     def _check_consumers(
-        self,
-        registry: _Registry,
-        modules: Sequence[Module],
-        emissions: list[_Emission],
+        self, registry: _Registry, module: Module, emissions: list[_Emission]
     ) -> Iterator[Finding]:
-        namespaces = registry.namespaces
-        if not namespaces:
+        if module.pkgpath == _SCHEMA_PKGPATH:
             return
-        name_re = re.compile(
-            r"^(?:" + "|".join(sorted(re.escape(ns) for ns in namespaces)) + r")"
-            r"\.[A-Za-z0-9_.{}*]+$"
-        )
         declared = registry.all_names()
-        emitter_args = {
-            id(e.call.args[0]) for e in emissions if e.call.args
-        }
-        for module in modules:
-            if module.pkgpath == _SCHEMA_PKGPATH:
+        emitter_args = {id(e.call.args[0]) for e in emissions}
+        skip_ids = _docstring_nodes(module.tree)
+        for node in ast.walk(module.tree):
+            value = _const_str(node) if isinstance(node, ast.expr) else None
+            if value is None or id(node) in skip_ids:
                 continue
-            skip_ids = _docstring_nodes(module.tree)
-            for node in ast.walk(module.tree):
-                value = _const_str(node) if isinstance(node, ast.expr) else None
-                if value is None or id(node) in skip_ids:
-                    continue
-                if id(node) in emitter_args:
-                    continue  # the emitter side; OBS101's job
-                if not name_re.match(value) or value.endswith("."):
-                    continue
-                if any(_agree(entry, value) for entry in declared):
-                    continue
-                yield module.finding(
-                    node,
-                    "OBS102",
-                    f"string `{value}` looks like a trace name (namespace "
-                    f"`{value.split('.', 1)[0]}.`) but matches no schema "
-                    "registry entry; a consumer matching it will never "
-                    "fire — declare it in repro/obs/schema.py or rename",
-                )
+            if id(node) in emitter_args:
+                continue  # the emitter side; OBS101's job
+            if not registry.trace_name_re.match(value) or value.endswith("."):
+                continue
+            if any(_agree(entry, value) for entry in declared):
+                continue
+            yield module.finding(
+                node,
+                "OBS102",
+                f"string `{value}` looks like a trace name (namespace "
+                f"`{value.split('.', 1)[0]}.`) but matches no schema "
+                "registry entry; a consumer matching it will never "
+                "fire — declare it in repro/obs/schema.py or rename",
+            )
 
     # ----------------------------------------------------------- OBS103
 

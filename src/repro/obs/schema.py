@@ -17,10 +17,11 @@ This module is the single declared registry:
 Lint rules ``OBS101``–``OBS103`` (:mod:`repro._lint.rules_schema`)
 cross-check the registry against the code in both directions: an emitter
 literal or consumer match that is not declared here is a finding, and a
-declared name nothing emits is a finding. The registry is deliberately
-written as **pure literals** so the linter can re-read it from source
-without importing anything (``tests/unit/test_obs_schema.py`` pins the
-two views together).
+declared name nothing emits is a finding. They are also the one place
+names are matched against the ``{placeholder}`` patterns. The registry
+is deliberately written as **pure literals** so the linter can re-read
+it from source without importing anything
+(``tests/unit/test_obs_schema.py`` pins the two views together).
 
 Keep ``docs/observability.md`` ("Event & metric schema registry") in
 sync when editing — a regression test checks every name is documented.
@@ -28,7 +29,6 @@ sync when editing — a regression test checks every name is documented.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 __all__ = [
@@ -40,16 +40,9 @@ __all__ = [
     "EventSpec",
     "MetricSpec",
     "SpanSpec",
-    "canonical_glob",
     "event_names",
-    "find_event",
-    "find_metric",
-    "find_span",
-    "is_pattern",
     "metric_names",
-    "name_matches",
     "span_names",
-    "validate_event_attrs",
 ]
 
 #: The metric kinds a :class:`~repro.obs.metrics.MetricsRegistry` holds.
@@ -232,44 +225,7 @@ SPANS: tuple[SpanSpec, ...] = (
 )
 
 
-# ------------------------------------------------------------------- matching
-
-_PLACEHOLDER_RE = re.compile(r"\{[A-Za-z_][A-Za-z0-9_]*\}")
-
-
-def is_pattern(name: str) -> bool:
-    """True when ``name`` contains a ``{placeholder}`` segment."""
-    return _PLACEHOLDER_RE.search(name) is not None
-
-
-def canonical_glob(name: str) -> str:
-    """``name`` with every ``{placeholder}`` replaced by ``*``.
-
-    Two dynamic names agree when their canonical globs are equal —
-    ``dls.chunks.{technique}`` and the emitter's ``f"dls.chunks.{...}"``
-    both canonicalize to ``dls.chunks.*``.
-    """
-    return _PLACEHOLDER_RE.sub("*", name)
-
-
-def _pattern_regex(pattern: str) -> re.Pattern[str]:
-    parts = [
-        re.escape(piece) if piece != "*" else r"[^.]+"
-        for piece in re.split(r"(\*)", canonical_glob(pattern))
-        if piece
-    ]
-    return re.compile("^" + "".join(parts) + "$")
-
-
-def name_matches(pattern: str, name: str) -> bool:
-    """Does a concrete ``name`` instantiate ``pattern``?
-
-    Exact names match only themselves; each ``{placeholder}`` (or ``*``)
-    matches exactly one dot-free segment.
-    """
-    if not is_pattern(pattern) and "*" not in pattern:
-        return pattern == name
-    return _pattern_regex(pattern).match(name) is not None
+# ---------------------------------------------------------------------- names
 
 
 def event_names() -> tuple[str, ...]:
@@ -285,45 +241,3 @@ def metric_names() -> tuple[str, ...]:
 def span_names() -> tuple[str, ...]:
     """Every declared span name, in declaration order."""
     return tuple(spec.name for spec in SPANS)
-
-
-def find_event(name: str) -> EventSpec | None:
-    """The :class:`EventSpec` matching ``name``, or None."""
-    for spec in EVENTS:
-        if name_matches(spec.name, name):
-            return spec
-    return None
-
-
-def find_metric(name: str) -> MetricSpec | None:
-    """The :class:`MetricSpec` matching ``name`` (exact wins), or None."""
-    for spec in METRICS:
-        if spec.name == name:
-            return spec
-    for spec in METRICS:
-        if name_matches(spec.name, name):
-            return spec
-    return None
-
-
-def find_span(name: str) -> SpanSpec | None:
-    """The :class:`SpanSpec` matching ``name``, or None."""
-    for spec in SPANS:
-        if name_matches(spec.name, name):
-            return spec
-    return None
-
-
-def validate_event_attrs(
-    name: str, attrs: tuple[str, ...] | frozenset[str]
-) -> tuple[str, ...]:
-    """Required attributes of event ``name`` missing from ``attrs``.
-
-    Returns an empty tuple for an unknown event (use :func:`find_event`
-    to detect that case separately).
-    """
-    spec = find_event(name)
-    if spec is None:
-        return ()
-    present = set(attrs)
-    return tuple(a for a in spec.required if a not in present)

@@ -24,7 +24,9 @@ from ..errors import PMFError
 
 __all__ = ["PMF", "PROB_TOL"]
 
-#: Tolerance used when checking that probabilities sum to one.
+#: Slack below zero: a probability down to ``-PROB_TOL`` counts as zero,
+#: and :meth:`PMF.quantile` searches the CDF for ``q - PROB_TOL``. It is
+#: not the sum tolerance, which is 1e-6 (see :class:`PMF`).
 PROB_TOL = 1e-9
 
 
@@ -86,8 +88,10 @@ class PMF:
         any pair merges, every value becomes ``(p*v)/p``. These rules, not
         a sort algorithm, fix the stored bits.
     probs:
-        Probabilities, same length as ``values``. Must be non-negative and
-        sum to 1 within :data:`PROB_TOL` (unless ``normalize=True``).
+        Probabilities, same length as ``values``. Must be non-negative
+        (entries down to ``-PROB_TOL`` count as zero) and, unless
+        ``normalize=True``, sum to 1 within 1e-6; a sum inside that
+        tolerance is renormalized to 1.
     normalize:
         If true, rescale ``probs`` to sum to exactly one instead of
         validating the sum. Zero-probability points are always dropped.

@@ -126,6 +126,46 @@ class TestEmitterDrift:
         assert rule_ids(findings) == ["OBS101"]
         assert "histogram" in findings[0].message
 
+    def test_module_import_then_attribute_call(self):
+        # `from .. import obs` binds obs to repro.obs, so obs.incr(...)
+        # is an emitter exactly like a bare imported incr(...).
+        sources = dict(CLEAN)
+        sources["sim/extra.py"] = (
+            "from .. import obs\n"
+            "def fire():\n"
+            "    obs.incr('sim.apps')\n"
+            "    obs.incr('dls.rogue_total')\n"
+        )
+        findings = lint_sources(sources, select=SCHEMA_IDS)
+        assert rule_ids(findings) == ["OBS101"]
+        assert "dls.rogue_total" in findings[0].message
+        assert findings[0].line == 4
+
+    def test_unimported_obs_name_is_not_an_emitter(self):
+        # A local `incr` that is not imported from repro.obs emits nothing.
+        sources = dict(CLEAN)
+        sources["sim/extra.py"] = (
+            "def incr(name):\n"
+            "    return name\n"
+            "def fire(counter):\n"
+            "    incr('dls.rogue_total')\n"
+            "    counter.incr('dls.rogue_total')\n"
+        )
+        findings = lint_sources(sources, select=SCHEMA_IDS)
+        assert rule_ids(findings) == ["OBS102", "OBS102"]
+
+    def test_emitter_literal_with_extra_segment(self):
+        # One placeholder is one dot-free segment.
+        sources = dict(CLEAN)
+        sources["sim/extra.py"] = (
+            "from ..obs import incr\n"
+            "def fire():\n"
+            "    incr('dls.chunks.a.b')\n"
+        )
+        findings = lint_sources(sources, select=SCHEMA_IDS)
+        assert rule_ids(findings) == ["OBS101"]
+        assert "dls.chunks.a.b" in findings[0].message
+
     def test_fstring_emitter_without_matching_pattern(self):
         sources = dict(CLEAN)
         sources["sim/extra.py"] = (
@@ -147,6 +187,28 @@ class TestConsumerDrift:
         findings = lint_sources(sources, select=SCHEMA_IDS)
         assert rule_ids(findings) == ["OBS102"]
         assert "sim.vanished" in findings[0].message
+
+    def test_concrete_consumers_matching_registry_are_clean(self):
+        # An exact name matches itself; a placeholder matches one segment.
+        sources = dict(CLEAN)
+        sources["reporting/tables.py"] = (
+            "WATCHED = ('sim.apps', 'dls.chunks.FAC', 'dls.chunks.mFSC')\n"
+        )
+        assert lint_sources(sources, select=SCHEMA_IDS) == []
+
+    def test_consumer_with_extra_segment_fires(self):
+        sources = dict(CLEAN)
+        sources["reporting/tables.py"] = "WATCHED = 'dls.chunks.a.b'\n"
+        findings = lint_sources(sources, select=SCHEMA_IDS)
+        assert rule_ids(findings) == ["OBS102"]
+        assert "dls.chunks.a.b" in findings[0].message
+
+    def test_consumer_missing_the_placeholder_segment_fires(self):
+        sources = dict(CLEAN)
+        sources["reporting/tables.py"] = "WATCHED = 'dls.chunks'\n"
+        findings = lint_sources(sources, select=SCHEMA_IDS)
+        assert rule_ids(findings) == ["OBS102"]
+        assert "dls.chunks" in findings[0].message
 
     def test_pattern_consumer_matching_registry_is_clean(self):
         sources = dict(CLEAN)

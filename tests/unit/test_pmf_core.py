@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import PMFError
-from repro.pmf import PMF
+from repro.pmf import PMF, PROB_TOL
 
 
 class TestConstruction:
@@ -87,6 +87,22 @@ class TestConstruction:
         # Sum = 1 + 5e-7: inside tolerance, silently renormalized.
         pmf = PMF([1.0, 2.0], [0.5, 0.5 + 5e-7])
         assert pytest.approx(1.0) == float(pmf.probs.sum())
+
+    def test_sum_tolerance_is_1e6_not_prob_tol(self):
+        accepted = PMF([1.0, 2.0], [0.5, 0.5 + 9e-7])
+        assert float(accepted.probs.sum()) == pytest.approx(1.0, abs=1e-15)
+        with pytest.raises(PMFError, match="sum to"):
+            PMF([1.0, 2.0], [0.5, 0.5 + 2e-6])
+
+    def test_negative_slack_is_prob_tol(self):
+        # PROB_TOL (1e-9) of slack below zero: the entry counts as zero
+        # and is dropped; anything more negative is rejected.
+        assert PROB_TOL == 1e-9
+        pmf = PMF([1.0, 2.0, 3.0], [0.5, 0.5, -5e-10])
+        assert pmf.values.tolist() == [1.0, 2.0]
+        assert pmf.probs.tolist() == [0.5, 0.5]
+        with pytest.raises(PMFError, match="non-negative"):
+            PMF([1.0, 2.0, 3.0], [0.5, 0.5, -2e-9])
 
 
 class TestSummaries:
