@@ -72,11 +72,12 @@ class _Registry:
     @cached_property
     def trace_name_re(self) -> re.Pattern[str]:
         """Literals that look like a trace name: a registry namespace
-        (``sim``, ``dls``, ...), a dot, and more name characters."""
+        (``sim``, ``dls``, ...), a dot, and more name characters (a
+        hyphen included: technique names such as ``AWF-B`` carry one)."""
         namespaces = {name.split(".", 1)[0] for name in self.all_names()}
         return re.compile(
             r"^(?:" + "|".join(sorted(re.escape(ns) for ns in namespaces)) + r")"
-            r"\.[A-Za-z0-9_.{}*]+$"
+            r"\.[A-Za-z0-9_.{}*-]+$"
         )
 
 

@@ -123,6 +123,11 @@ class IterationTimeModel:
             raise ModelError(
                 f"iteration-time cv must be finite and >= 0, got {self.cv}"
             )
+        # Gamma (shape, scale) of `draw`, computed once per model.
+        gamma = (
+            (1.0 / (self.cv**2), self.mean * (self.cv**2)) if self.cv else None
+        )
+        object.__setattr__(self, "_gamma", gamma)
 
     @property
     def variance(self) -> float:
@@ -134,12 +139,11 @@ class IterationTimeModel:
             raise ModelError(f"cannot draw a negative number of iterations: {n}")
         if n == 0:
             return np.empty(0)
-        if self.cv == 0.0:
+        gamma = self._gamma
+        if gamma is None:
             return np.full(n, self.mean)
-        gen = ensure_rng(rng)
-        shape = 1.0 / (self.cv**2)
-        scale = self.mean * (self.cv**2)
-        return gen.gamma(shape, scale, size=n)
+        shape, scale = gamma
+        return ensure_rng(rng).gamma(shape, scale, size=n)
 
     def total(self, n: int, rng: np.random.Generator | int | None = None) -> float:
         """Total time of ``n`` iterations (sum of a vectorized draw)."""

@@ -204,7 +204,8 @@ class SchedulingSession(ABC):
         iterations on the executing worker; ``chunk_time`` additionally
         includes the scheduling overhead (used by AWF-D/E style weighting).
         """
-        if worker_id not in self._workers:
+        w = self._workers.get(worker_id)
+        if w is None:
             raise SchedulingError(f"unknown worker id {worker_id}")
         if chunk_size < 1:
             raise SchedulingError(
@@ -215,12 +216,11 @@ class SchedulingSession(ABC):
             raise SchedulingError(
                 f"got {times.size} iteration times for a chunk of {chunk_size}"
             )
-        w = self._workers[worker_id]
         w.iterations_done += chunk_size
         w.chunks_done += 1
-        total = float(np.add.reduce(times))
+        total = np.add.reduce(times).item()
         w.sum_t += total
-        w.sum_t2 += float(np.add.reduce(times * times))
+        w.sum_t2 += np.add.reduce(times * times).item()
         k = w.chunks_done
         w.k_sum_t += k * (total / chunk_size)
         w.k_sum_chunk_t += k * (

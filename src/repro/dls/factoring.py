@@ -102,14 +102,24 @@ class Factoring(_FactorSpec):
 class _WeightedSession(_BatchedSession):
     """Batch chunks proportional to per-worker weights summing to P."""
 
+    _fixed_weights: dict[int, float] | None = None
+
     def _weights(self) -> dict[int, float]:
-        """Current weights; WF uses the fixed relative powers."""
-        powers = {wid: w.relative_power for wid, w in self.workers.items()}
-        total = sum(powers.values())
-        if total <= 0:
-            raise SchedulingError("worker relative powers must sum > 0")
-        p = self.n_workers
-        return {wid: p * pw / total for wid, pw in powers.items()}
+        """Current weights; WF uses the fixed relative powers.
+
+        Relative powers do not change during a session, so the weights
+        are computed on the first request and kept.
+        """
+        if self._fixed_weights is None:
+            powers = {wid: w.relative_power for wid, w in self.workers.items()}
+            total = sum(powers.values())
+            if total <= 0:
+                raise SchedulingError("worker relative powers must sum > 0")
+            p = self.n_workers
+            self._fixed_weights = {
+                wid: p * pw / total for wid, pw in powers.items()
+            }
+        return self._fixed_weights
 
     def _chunk_for(self, worker_id: int) -> int:
         w = self._weights()[worker_id]

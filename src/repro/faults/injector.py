@@ -11,11 +11,14 @@ simulated run. Stochastic events are drawn from the seed-tree paths
 * degradation timelines are materialized lazily (arrival processes are
   unbounded), merged in time order with any scripted events.
 
-The injector answers two questions the loop simulator asks:
+The injector answers three questions the loop simulator asks:
 
 * :meth:`crash_time` — when (if ever) does this worker die?
 * :meth:`degradations_until` — every blackout/slowdown for this worker
   up to a wall-clock horizon, sorted by time.
+* :meth:`may_degrade` — can any of them reach a chunk's compute window?
+  A ``False`` answer is exact, so the simulator skips the degradation
+  pass on such chunks.
 
 :func:`apply_degradations` is the pure timeline transform that stretches
 a chunk's per-iteration finish times by the events overlapping its
@@ -26,6 +29,7 @@ compute window; :func:`degraded_boundaries` iterates it to a fixpoint
 from __future__ import annotations
 
 import heapq
+import math
 from collections.abc import Iterator
 
 import numpy as np
@@ -82,7 +86,13 @@ def _degradation_stream(
 
 
 class FaultInjector:
-    """The realized faults of one run (see module docstring)."""
+    """The realized faults of one run (see module docstring).
+
+    Per worker it keeps the materialized prefix of the degradation
+    stream, the next undrawn event (the lookahead) and the latest
+    ``end`` among the materialized events, which :meth:`may_degrade`
+    compares with a chunk's start.
+    """
 
     def __init__(
         self, plan: FaultPlan, *, seed: int | None, n_workers: int
@@ -116,6 +126,7 @@ class FaultInjector:
             for w in range(n_workers)
         ]
         self._materialized: list[list[FaultEvent]] = [[] for _ in range(n_workers)]
+        self._latest_end = [-math.inf] * n_workers
         self._lookahead: list[FaultEvent | None] = [
             next(self._iters[w], None) for w in range(n_workers)
         ]
@@ -160,13 +171,30 @@ class FaultInjector:
         """
         self._check_worker(worker)
         buffer = self._materialized[worker]
-        while (
-            self._lookahead[worker] is not None
-            and self._lookahead[worker].time <= t  # type: ignore[union-attr]
-        ):
-            buffer.append(self._lookahead[worker])  # type: ignore[arg-type]
-            self._lookahead[worker] = next(self._iters[worker], None)
+        event = self._lookahead[worker]
+        while event is not None and event.time <= t:
+            buffer.append(event)
+            if event.end > self._latest_end[worker]:
+                self._latest_end[worker] = event.end
+            event = next(self._iters[worker], None)
+        self._lookahead[worker] = event
         return buffer
+
+    def may_degrade(self, worker: int, start: float, until: float) -> bool:
+        """Can a blackout/slowdown of ``worker`` reach ``[start, until]``?
+
+        Materializes the worker's events through ``until`` and answers
+        whether any materialized event ends after ``start``. ``False`` is
+        exact for a chunk whose boundaries end at or before ``until``:
+        every materialized event ended by ``start`` and every other one
+        begins after the chunk's finish. :func:`apply_degradations` skips
+        both, so :func:`degraded_boundaries` would report
+        ``applied == 0``. ``True`` may be conservative. Materializing
+        ahead of a later query changes no event: each stream is a fixed
+        function of the seed.
+        """
+        self.degradations_until(worker, until)
+        return self._latest_end[worker] > start
 
     def _check_worker(self, worker: int) -> None:
         if not 0 <= worker < self._n:

@@ -60,15 +60,17 @@ class FaultEvent:
             raise FaultError(
                 f"unknown fault kind {self.kind!r}; expected one of {FAULT_KINDS}"
             )
-        if self.time < 0:
+        # The `not ... >=` / `not ... >` forms also reject NaN, which
+        # every comparison in the injector and the loop would ignore.
+        if not self.time >= 0:
             raise FaultError(f"fault time must be >= 0, got {self.time}")
         if self.worker < 0:
             raise FaultError(f"fault worker must be >= 0, got {self.worker}")
-        if self.kind in ("blackout", "slowdown") and self.duration <= 0:
+        if self.kind in ("blackout", "slowdown") and not self.duration > 0:
             raise FaultError(
                 f"{self.kind} faults need a positive duration, got {self.duration}"
             )
-        if self.kind == "slowdown" and self.factor <= 1.0:
+        if self.kind == "slowdown" and not self.factor > 1.0:
             raise FaultError(
                 f"slowdown factor must be > 1, got {self.factor}"
             )
@@ -106,17 +108,17 @@ class FaultPlan:
     def __post_init__(self) -> None:
         for name in ("crash_rate", "blackout_rate", "slowdown_rate"):
             rate = getattr(self, name)
-            if rate < 0:
+            if not rate >= 0:  # also rejects NaN
                 raise FaultError(f"{name} must be >= 0, got {rate}")
         for name in ("blackout_duration", "slowdown_duration"):
             mean = getattr(self, name)
-            if mean <= 0:
+            if not mean > 0:
                 raise FaultError(f"{name} must be > 0, got {mean}")
-        if self.slowdown_factor <= 1.0:
+        if not self.slowdown_factor > 1.0:
             raise FaultError(
                 f"slowdown_factor must be > 1, got {self.slowdown_factor}"
             )
-        if self.failover_delay < 0:
+        if not self.failover_delay >= 0:
             raise FaultError(
                 f"failover_delay must be >= 0, got {self.failover_delay}"
             )

@@ -25,7 +25,7 @@ class EventQueue:
 
     def push(self, time: float, payload: Any = None) -> None:
         """Schedule ``payload`` at ``time``."""
-        if time < 0:
+        if not time >= 0:  # also rejects NaN, which the heap would pop first
             raise SimulationError(f"event time must be >= 0, got {time}")
         heapq.heappush(self._heap, (time, self._seq, payload))
         self._seq += 1

@@ -212,6 +212,23 @@ def _pick_master(
     return min(candidates, key=lambda w: w.worker_id)
 
 
+def _degradation_horizon(finish: float, size: int) -> float:
+    """An upper bound on ``start + np.cumsum(wall_times)[-1]``.
+
+    That is the horizon :func:`~repro.faults.degraded_boundaries` queries
+    for a chunk of ``size`` iterations whose wall times were taken as
+    differences of its finish times, the last being ``finish``. It re-adds
+    the wall times in sequence: ``size - 1`` additions in the cumsum and
+    one with ``start``, each rounded by at most ``ulp(finish)``. The
+    differences themselves are exact (Sterbenz) except where the finish
+    times more than double, and those errors shrink geometrically to under
+    one ``ulp(finish)`` in total. So the horizon exceeds ``finish`` by less
+    than ``(size + 1) * ulp(finish)``; the spare ulp covers the rounding of
+    this sum itself.
+    """
+    return finish + (size + 2) * math.ulp(finish)
+
+
 def run_parallel_loop(
     workers: list[SimWorker],
     session: SchedulingSession,
@@ -233,7 +250,9 @@ def run_parallel_loop(
     :meth:`~repro.dls.SchedulingSession.requeue` and re-dispatched to the
     survivors (idle workers are parked, not released, so late re-queued
     work always finds a taker); blackouts and slowdowns stretch chunk
-    timelines; a crashed master triggers failover per
+    timelines, and a chunk no degradation can reach
+    (:meth:`~repro.faults.FaultInjector.may_degrade` says ``False``)
+    skips that pass; a crashed master triggers failover per
     ``config.master_policy``, charging the plan's ``failover_delay``
     before the lost work is re-offered. The group's last surviving
     worker never crashes — a run always completes — and iteration
@@ -359,10 +378,12 @@ def run_parallel_loop(
         start = now + config.overhead
         ends = worker.execute_chunk(start, size, par_model)
         finish = float(ends[-1])
-        wall_times = np.empty(size)
-        wall_times[0] = ends[0] - start
-        np.subtract(ends[1:], ends[:-1], out=wall_times[1:])
-        if injector is not None:
+        wall_times = ends.copy()
+        wall_times[1:] -= ends[:-1]
+        wall_times[0] -= start
+        if injector is not None and injector.may_degrade(
+            wid, start, _degradation_horizon(finish, size)
+        ):
             boundaries = start + np.cumsum(wall_times)
             adjusted, applied = degraded_boundaries(
                 injector, wid, start, boundaries

@@ -152,9 +152,9 @@ class AvailabilityProcess:
         """Vectorized :meth:`finish_time` for increasing cumulative work.
 
         ``cumulative_works`` must be non-decreasing (e.g. the cumulative sum
-        of per-iteration dedicated times); returns the wall-clock time at
-        which each cumulative amount completes. Used to attribute a chunk's
-        elapsed time to its individual iterations.
+        of per-iteration dedicated times) and free of NaN; returns the
+        wall-clock time at which each cumulative amount completes. Used to
+        attribute a chunk's elapsed time to its individual iterations.
 
         A chunk that completes inside the segment holding ``start`` (most
         chunks, when segments are long) skips the segment search: it is the
@@ -162,23 +162,35 @@ class AvailabilityProcess:
         bit-for-bit the same.
         """
         works = np.asarray(cumulative_works, dtype=np.float64)
-        if works.size == 0:
+        n = works.size
+        if n == 0:
             return np.empty(0)
-        if (works[1:] < works[:-1]).any():
-            raise SimulationError("cumulative_works must be non-decreasing")
-        if works[0] < 0:
+        # One comparison pass: a pair fails `>=` when it decreases or
+        # either side is NaN; only then is the cause worked out.
+        if np.count_nonzero(works[1:] >= works[:-1]) != n - 1:
+            if (works[1:] < works[:-1]).any():
+                raise SimulationError("cumulative_works must be non-decreasing")
+            raise SimulationError("cumulative work must be finite, got NaN")
+        if works.item(0) < 0:
             raise SimulationError("cumulative work must be non-negative")
-        _check_start(start)
-        total = float(works[-1])
+        if not 0 <= start < math.inf:
+            raise SimulationError(
+                f"start time must be finite and non-negative, got {start}"
+            )
+        total = works.item(-1)
         if not 0 <= total < math.inf:
             raise SimulationError(
                 f"cumulative work must be finite and non-negative, got {total}"
             )
-        self._extend_to(start)
-        k = bisect_right(self._ends, start)
+        ends = self._ends
+        if not ends or ends[-1] <= start:
+            self._extend_to(start)
+        k = bisect_right(ends, start)
         rate = self._capacity * self._levels[k]
-        if total <= rate * (self._ends[k] - start):
-            return start + works / rate
+        if total <= rate * (ends[k] - start):
+            out = works / rate
+            out += start
+            return out
         # Materialize segments through the overall finish.
         overall_finish = self.finish_time(start, total)
         self._extend_to(overall_finish)

@@ -1,5 +1,7 @@
 """Unit tests of the fault-injection subsystem (repro.faults)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,11 @@ class TestFaultEvent:
             {"time": 0.0, "worker": 0, "kind": "blackout"},  # no duration
             {"time": 0.0, "worker": 0, "kind": "slowdown", "duration": 1.0},
             # slowdown factor must exceed 1
+            # NaN fails every comparison, so each check must reject it:
+            {"time": math.nan, "worker": 0},
+            {"time": 0.0, "worker": 0, "kind": "blackout", "duration": math.nan},
+            {"time": 0.0, "worker": 0, "kind": "slowdown", "duration": 1.0,
+             "factor": math.nan},
         ],
     )
     def test_invalid_events_rejected(self, kwargs):
@@ -70,6 +77,10 @@ class TestFaultPlan:
             {"blackout_rate": 0.1, "blackout_duration": 0.0},
             {"slowdown_rate": 0.1, "slowdown_factor": 1.0},
             {"failover_delay": -1.0},
+            {"crash_rate": math.nan},
+            {"blackout_rate": 0.1, "blackout_duration": math.nan},
+            {"slowdown_rate": 0.1, "slowdown_factor": math.nan},
+            {"failover_delay": math.nan},
         ],
     )
     def test_invalid_plans_rejected(self, kwargs):

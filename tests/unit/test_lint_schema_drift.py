@@ -192,9 +192,19 @@ class TestConsumerDrift:
         # An exact name matches itself; a placeholder matches one segment.
         sources = dict(CLEAN)
         sources["reporting/tables.py"] = (
-            "WATCHED = ('sim.apps', 'dls.chunks.FAC', 'dls.chunks.mFSC')\n"
+            "WATCHED = ('sim.apps', 'dls.chunks.FAC', 'dls.chunks.mFSC',"
+            " 'dls.chunks.AWF-B')\n"
         )
         assert lint_sources(sources, select=SCHEMA_IDS) == []
+
+    def test_misspelled_consumer_with_a_hyphen_fires(self):
+        # Five technique names carry a hyphen (FAC-P, AWF-B ... AWF-E);
+        # a consumer spelled with one must be checked like any other.
+        sources = dict(CLEAN)
+        sources["reporting/tables.py"] = "WATCHED = 'dls.chunk.AWF-B'\n"
+        findings = lint_sources(sources, select=SCHEMA_IDS)
+        assert rule_ids(findings) == ["OBS102"]
+        assert "dls.chunk.AWF-B" in findings[0].message
 
     def test_consumer_with_extra_segment_fires(self):
         sources = dict(CLEAN)

@@ -30,9 +30,12 @@ class TestEventQueue:
             q.pop()
         assert not q and len(q) == 0
 
-    def test_negative_time_rejected(self):
-        with pytest.raises(SimulationError):
-            EventQueue().push(-1.0)
+    @pytest.mark.parametrize("time", [-1.0, float("nan")])
+    def test_negative_time_rejected(self, time):
+        # NaN fails every comparison, so a `time < 0` test let it through
+        # and the heap then popped it before every real event.
+        with pytest.raises(SimulationError, match=">= 0"):
+            EventQueue().push(time)
 
 
 class TestSimWorker:

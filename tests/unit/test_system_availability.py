@@ -159,11 +159,17 @@ class TestNonFiniteRejected:
         with pytest.raises(SimulationError, match="start"):
             ConstantAvailability(0.5).spawn().finish_time(start, 1.0)
 
-    @pytest.mark.parametrize("last", [math.inf, math.nan])
-    def test_finish_times_work(self, type2_availability, last):
+    @pytest.mark.parametrize(
+        "works",
+        [[1.0, math.inf], [1.0, math.nan], [1.0, math.nan, 2.0]],
+        ids=["inf", "nan", "interior-nan"],
+    )
+    def test_finish_times_work(self, type2_availability, works):
+        # An interior NaN passes the start and total checks; only the
+        # pairwise pass can catch it.
         proc = ResampledAvailability(type2_availability, interval=10.0).spawn(1)
         with pytest.raises(SimulationError, match="work"):
-            proc.finish_times(0.0, np.array([1.0, last]))
+            proc.finish_times(0.0, np.array(works))
 
     @pytest.mark.parametrize("start", [math.inf, math.nan])
     def test_finish_times_start(self, start):
