@@ -19,7 +19,14 @@ seeds are derived from *what* a task is, not from loop-index arithmetic.
 ``SeedTree(None)`` draws fresh OS entropy for the root — "no seed" means
 a genuinely new experiment — while ``SeedTree(42)`` is fully
 reproducible. Callers that want the library's deterministic default root
-pass :data:`repro.rng.DEFAULT_SEED` explicitly.
+pass :data:`repro.rng.DEFAULT_SEED` explicitly. A negative root is
+rejected.
+
+Each node also keeps the uint32 words numpy would assemble from its root
+and path, so :meth:`SeedTree.rngs` can build many streams in one batch
+(:func:`repro.rng.rngs_from_words`) with the bits of
+``default_rng(node.seed_sequence())``. Path components are hashed once per
+process (a bounded memo of each component's BLAKE2b word).
 
 This module is, next to :mod:`repro.rng`, the only place allowed to
 touch ``numpy.random`` directly (lint rule ``RNG001``): the seed tree
@@ -28,14 +35,39 @@ touch ``numpy.random`` directly (lint rule ``RNG001``): the seed tree
 
 from __future__ import annotations
 
+import functools
 import hashlib
+from collections.abc import Iterable
 
 import numpy as np
 
+from ..rng import entropy_words, rngs_from_words
+
 __all__ = ["SeedTree", "derive_seed", "encode_component"]
 
-#: Number of 32-bit words in a derived seed (128 bits total).
-_SEED_WORDS = 4
+
+@functools.lru_cache(maxsize=4096)
+def _encode_tag(tag: str) -> tuple[int, tuple[int, ...]]:
+    """The 64-bit BLAKE2b word of a tagged component, and its key words.
+
+    Memoized: simulations hash the same few kinds and worker ids over and
+    over. A pure function of ``tag``, so the memo changes no result.
+    """
+    digest = hashlib.blake2b(tag.encode("utf-8"), digest_size=8).digest()
+    word = int.from_bytes(digest, "big")
+    return word, entropy_words(word)
+
+
+def _encode(component: int | str) -> tuple[int, tuple[int, ...]]:
+    """:func:`encode_component` and the uint32 words of its result."""
+    if isinstance(component, bool) or not isinstance(component, (int, str)):
+        raise TypeError(
+            f"seed-tree path components must be int or str, got "
+            f"{type(component).__name__}"
+        )
+    return _encode_tag(
+        f"i:{component}" if isinstance(component, int) else f"s:{component}"
+    )
 
 
 def encode_component(component: int | str) -> int:
@@ -46,36 +78,24 @@ def encode_component(component: int | str) -> int:
     stable across processes and Python versions — unlike built-in
     ``hash()``, which is salted per interpreter.
     """
-    if isinstance(component, bool) or not isinstance(component, (int, str)):
-        raise TypeError(
-            f"seed-tree path components must be int or str, got "
-            f"{type(component).__name__}"
-        )
-    tag = f"i:{component}" if isinstance(component, int) else f"s:{component}"
-    digest = hashlib.blake2b(tag.encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
+    return _encode(component)[0]
 
 
 class SeedTree:
     """A node in the deterministic seed-derivation tree.
 
-    The tree is value-like and cheap: nodes hold only the root entropy
-    and the path of hashed components. Streams and integer seeds are
-    derived on demand from the node's :class:`~numpy.random.SeedSequence`.
+    The tree is value-like and cheap: nodes hold the root entropy, the
+    path of hashed components and the uint32 entropy words numpy's
+    :class:`~numpy.random.SeedSequence` would assemble from the two
+    (:func:`repro.rng.entropy_words`), extended once per :meth:`child`.
+    Streams and integer seeds are built from those words, with the bits
+    of the node's :meth:`seed_sequence`.
     """
 
-    __slots__ = ("_entropy", "_path")
+    __slots__ = ("_entropy", "_path", "_words")
 
-    def __init__(
-        self,
-        seed: int | None = None,
-        *,
-        _entropy: int | None = None,
-        _path: tuple[int, ...] = (),
-    ) -> None:
-        if _entropy is not None:
-            self._entropy = _entropy
-        elif seed is None:
+    def __init__(self, seed: int | None = None) -> None:
+        if seed is None:
             # Fresh OS entropy: "no seed" means a new experiment, not a
             # silent replay of seed 0 (the bug this class fixes).
             entropy = np.random.SeedSequence().entropy
@@ -86,8 +106,11 @@ class SeedTree:
                 raise TypeError(
                     f"seed must be an int or None, got {type(seed).__name__}"
                 )
+            if seed < 0:
+                raise ValueError(f"seed must be >= 0, got {seed}")
             self._entropy = seed
-        self._path = _path
+        self._path: tuple[int, ...] = ()
+        self._words = entropy_words(self._entropy)
 
     # -------------------------------------------------------------- structure
 
@@ -105,8 +128,22 @@ class SeedTree:
         """The descendant node at ``path`` (components are ints/strings)."""
         if not path:
             raise ValueError("child() needs at least one path component")
-        encoded = tuple(encode_component(c) for c in path)
-        return SeedTree(_entropy=self._entropy, _path=self._path + encoded)
+        key: tuple[int, ...] = ()
+        key_words: tuple[int, ...] = ()
+        for component in path:
+            word, words = _encode(component)
+            key += (word,)
+            key_words += words
+        node = SeedTree.__new__(SeedTree)
+        node._entropy = self._entropy
+        node._path = self._path + key
+        # Below the root the words are padded already: the key's follow.
+        node._words = (
+            self._words + key_words
+            if self._path
+            else entropy_words(self._entropy, key)
+        )
+        return node
 
     # ------------------------------------------------------------- derivation
 
@@ -117,19 +154,31 @@ class SeedTree:
     def seed(self) -> int:
         """A 128-bit integer seed for APIs that take plain int seeds.
 
-        Derived from the node's seed sequence, so two distinct paths
-        yield independent (and, with probability ``1 - 2^-128``,
-        distinct) seeds.
+        The node's ``seed_sequence().generate_state(4, np.uint32)`` read
+        as one big-endian int, so two distinct paths yield independent
+        (and, with probability ``1 - 2^-128``, distinct) seeds. The
+        sequence is built from the node's words: same pool, same state.
         """
-        words = self.seed_sequence().generate_state(_SEED_WORDS, np.uint32)
+        sequence = np.random.SeedSequence(np.array(self._words, dtype=np.uint32))
         value = 0
-        for word in words:
-            value = (value << 32) | int(word)
+        for word in sequence.generate_state(4, np.uint32).tolist():
+            value = (value << 32) | word
         return value
 
     def rng(self) -> np.random.Generator:
         """A PCG64 generator seeded at this node."""
-        return np.random.default_rng(self.seed_sequence())
+        return SeedTree.rngs((self,))[0]
+
+    @staticmethod
+    def rngs(nodes: Iterable["SeedTree"]) -> list[np.random.Generator]:
+        """``[node.rng() for node in nodes]``, built in one batch.
+
+        Same bits as ``default_rng(node.seed_sequence())`` per node (see
+        :func:`repro.rng.rngs_from_words`).
+        """
+        return rngs_from_words(
+            [np.array(node._words, dtype=np.uint32) for node in nodes]
+        )
 
     # -------------------------------------------------------------- plumbing
 

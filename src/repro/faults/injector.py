@@ -2,7 +2,9 @@
 
 A :class:`FaultInjector` holds the concrete fault occurrences of one
 simulated run. Stochastic events are drawn from the seed-tree paths
-``("faults", kind, worker)`` beneath the run's simulation seed:
+``("faults", kind, worker)`` beneath the run's simulation seed (plus
+``("faults", kind, "duration", worker)`` for blackout and slowdown
+durations), all built in one batch (:meth:`~repro.exec.SeedTree.rngs`):
 
 * the draw is bit-for-bit reproducible for a fixed seed on any backend;
 * it never touches the worker availability/iteration streams (those come
@@ -45,13 +47,8 @@ __all__ = [
 ]
 
 
-def _arrivals(
-    tree: SeedTree, kind: str, worker: int, rate: float
-) -> Iterator[float]:
-    """Poisson arrival times for one (kind, worker) stream."""
-    if rate <= 0:
-        return
-    rng = tree.child(kind, worker).rng()
+def _arrivals(rng: np.random.Generator, rate: float) -> Iterator[float]:
+    """Poisson arrival times at ``rate`` (> 0) drawn from ``rng``."""
     t = 0.0
     while True:
         t += float(rng.exponential(1.0 / rate))
@@ -59,17 +56,22 @@ def _arrivals(
 
 
 def _degradation_stream(
-    tree: SeedTree, plan: FaultPlan, kind: str, worker: int
+    plan: FaultPlan,
+    kind: str,
+    worker: int,
+    arrival_rng: np.random.Generator,
+    duration_rng: np.random.Generator,
 ) -> Iterator[FaultEvent]:
-    """Drawn blackout/slowdown events for one worker, in time order."""
+    """Drawn blackout/slowdown events for one worker, in time order.
+
+    ``kind``'s rate must be positive; arrivals and durations come from
+    the worker's ``(kind,)`` and ``(kind, "duration")`` streams.
+    """
     if kind == "blackout":
         rate, mean = plan.blackout_rate, plan.blackout_duration
     else:
         rate, mean = plan.slowdown_rate, plan.slowdown_duration
-    if rate <= 0:
-        return
-    duration_rng = tree.child(kind, "duration", worker).rng()
-    for t in _arrivals(tree, kind, worker, rate):
+    for t in _arrivals(arrival_rng, rate):
         # Durations are exponential with the configured mean, floored
         # away from zero so every drawn event is a valid FaultEvent.
         duration = max(float(duration_rng.exponential(mean)), 1e-9)
@@ -107,24 +109,50 @@ class FaultInjector:
                 )
         self._plan = plan
         self._n = n_workers
-        tree = SeedTree(seed).child("faults")
-        self._crash_times = [
-            self._first_crash(tree, plan, w) for w in range(n_workers)
+        # One stream per worker and drawn kind at ("faults", kind, w);
+        # blackouts and slowdowns draw durations from a second one at
+        # ("faults", kind, "duration", w). All are built in one batch.
+        drawn = [
+            kind
+            for kind, rate in (
+                ("crash", plan.crash_rate),
+                ("blackout", plan.blackout_rate),
+                ("slowdown", plan.slowdown_rate),
+            )
+            if rate > 0
         ]
-        scripted = [
-            sorted(
+        paths: list[tuple[str, ...]] = [(kind,) for kind in drawn]
+        paths += [(kind, "duration") for kind in drawn if kind != "crash"]
+        tree = SeedTree(seed).child("faults")
+        nodes = [tree.child(*path) for path in paths]
+        rngs = SeedTree.rngs(
+            node.child(w) for node in nodes for w in range(n_workers)
+        )
+        streams = {
+            path: rngs[i * n_workers:(i + 1) * n_workers]
+            for i, path in enumerate(paths)
+        }
+        crash = streams.get(("crash",), [None] * n_workers)
+        self._crash_times = [
+            self._first_crash(plan, w, crash[w]) for w in range(n_workers)
+        ]
+        self._iters: list[Iterator[FaultEvent]] = []
+        for w in range(n_workers):
+            scripted = sorted(
                 e for e in plan.events if e.worker == w and e.kind != "crash"
             )
-            for w in range(n_workers)
-        ]
-        self._iters: list[Iterator[FaultEvent]] = [
-            heapq.merge(
-                iter(scripted[w]),
-                _degradation_stream(tree, plan, "blackout", w),
-                _degradation_stream(tree, plan, "slowdown", w),
-            )
-            for w in range(n_workers)
-        ]
+            degradations = [
+                _degradation_stream(
+                    plan,
+                    kind,
+                    w,
+                    streams[(kind,)][w],
+                    streams[(kind, "duration")][w],
+                )
+                for kind in ("blackout", "slowdown")
+                if kind in drawn
+            ]
+            self._iters.append(heapq.merge(iter(scripted), *degradations))
         self._materialized: list[list[FaultEvent]] = [[] for _ in range(n_workers)]
         self._latest_end = [-math.inf] * n_workers
         self._lookahead: list[FaultEvent | None] = [
@@ -133,16 +161,18 @@ class FaultInjector:
 
     @staticmethod
     def _first_crash(
-        tree: SeedTree, plan: FaultPlan, worker: int
+        plan: FaultPlan, worker: int, rng: np.random.Generator | None
     ) -> float | None:
-        """Earliest crash of ``worker``: scripted vs drawn, whichever first."""
+        """Earliest crash of ``worker``: scripted vs drawn, whichever first.
+
+        ``rng`` is the worker's crash stream, None when no crash is drawn.
+        """
         times = [
             e.time
             for e in plan.events
             if e.worker == worker and e.kind == "crash"
         ]
-        if plan.crash_rate > 0:
-            rng = tree.child("crash", worker).rng()
+        if rng is not None:
             times.append(float(rng.exponential(1.0 / plan.crash_rate)))
         return min(times) if times else None
 

@@ -31,7 +31,7 @@ from ..exec.tasks import ReplicateTask
 from ..faults import FaultInjector, FaultPlan, degraded_boundaries
 from ..obs import event as obs_event
 from ..obs import incr, obs_enabled, observe_value, span
-from ..rng import spawn_rngs
+from ..rng import DEFAULT_SEED, spawn_rngs
 from ..system import (
     AvailabilityModel,
     ProcessorGroup,
@@ -119,7 +119,7 @@ def _build_workers(
     group: ProcessorGroup,
     availability: AvailabilityModel | list[AvailabilityModel] | None,
     config: LoopSimConfig,
-    seed: int | None,
+    seed: int,
 ) -> list[SimWorker]:
     """Spawn one SimWorker per group processor with independent streams."""
     n = group.size
@@ -456,6 +456,10 @@ def simulate_application(
     time units). Pass per-worker ``TraceAvailability`` models to replay a
     frozen realization across techniques.
 
+    ``seed=None`` means :data:`~repro.rng.DEFAULT_SEED`: the run replays,
+    fault draws included. Pass distinct seeds for independent runs (see
+    :func:`replication_seeds`).
+
     Returns an :class:`~repro.sim.results.AppRunResult`; its ``makespan``
     includes the serial phase (if any) and the full parallel loop.
     """
@@ -547,7 +551,12 @@ def _run_steps(
 
     A crashed worker is retired for good: later steps neither pick it as
     master nor dispatch to it (their sessions start with it retired).
+
+    ``seed=None`` is :data:`~repro.rng.DEFAULT_SEED`, for the workers'
+    streams and the fault draws alike.
     """
+    if seed is None:
+        seed = DEFAULT_SEED
     workers = _build_workers(group, availability, config, seed)
     type_name = group.ptype.name
     serial_model = app.serial_iteration_model(type_name)

@@ -63,6 +63,11 @@ class TestSeedTree:
         with pytest.raises(TypeError):
             SeedTree(1.5)
 
+    @pytest.mark.parametrize("seed", [-1, -(2**70)])
+    def test_rejects_negative_roots(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be >= 0, got {seed}"):
+            SeedTree(seed)
+
     def test_spawn_key_reflects_path(self):
         node = SeedTree(3).child("x", 1)
         assert node.spawn_key == (encode_component("x"), encode_component(1))
@@ -88,6 +93,10 @@ class TestDeriveSeed:
 
     def test_root_seed_without_path(self):
         assert derive_seed(42) == SeedTree(42).seed()
+
+    def test_negative_root_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            derive_seed(-1, "x")
 
     def test_none_is_fresh_per_call(self):
         assert derive_seed(None, "rep", 0) != derive_seed(None, "rep", 0)

@@ -15,6 +15,7 @@ from repro.faults import (
     apply_degradations,
     degraded_boundaries,
 )
+from repro.rng import DEFAULT_SEED
 from repro.sim import LoopSimConfig, simulate_application
 
 
@@ -122,6 +123,10 @@ class TestFaultInjector:
         assert [a.crash_time(w) for w in range(4)] != [
             b.crash_time(w) for w in range(4)
         ]
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
+            FaultPlan.chaos().realize(-3, 2)
 
     def test_scripted_crash_beats_drawn(self):
         plan = FaultPlan(
@@ -264,6 +269,23 @@ class TestSimulationUnderFaults:
         assert zero.worker_finish_times == base.worker_finish_times
         assert zero.crashed_workers == ()
         assert zero.rescheduled_iterations == 0
+
+    def test_no_seed_replays_the_default_root(
+        self, paper_like_batch, paper_like_system
+    ):
+        """Fault draws follow the same default root as the worker streams."""
+        app = paper_like_batch.app("app3")
+        group = paper_like_system.group("type2", 8)
+        config = LoopSimConfig(faults=FaultPlan.chaos(1e-3))
+        a, b, default = (
+            simulate_application(
+                app, group, make_technique("FAC"), seed=seed, config=config
+            )
+            for seed in (None, None, DEFAULT_SEED)
+        )
+        assert a.degradations_applied > 0
+        assert a.makespan == b.makespan == default.makespan
+        assert a.chunks == b.chunks == default.chunks
 
     def test_scripted_crash_conserves_iterations(self, tiny_app, group):
         # tiny_app: 10 serial + 100 parallel iterations of 1.0 each, so

@@ -1,5 +1,7 @@
 """Unit tests of the RNG stream helpers (repro.rng)."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,19 @@ class TestSpawn:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             spawn_rngs(0, -1)
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(-1)])
+    def test_negative_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            spawn_rngs(seed, 2)
+
+    def test_generators_pickle(self):
+        (a,) = spawn_rngs(5, 1)
+        a.random(3)
+        b = pickle.loads(pickle.dumps(a))
+        assert np.array_equal(a.random(4), b.random(4))
+        for x, y in zip(a.spawn(2), b.spawn(2)):
+            assert x.bit_generator.state == y.bit_generator.state
 
     def test_streams_independent(self):
         a, b = spawn_rngs(42, 2)
