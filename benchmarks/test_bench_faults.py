@@ -6,13 +6,17 @@ and slow down mid-loop, plus the wall-clock overhead the fault machinery
 adds to the stage-II simulation (the zero-rate plan must be free).
 """
 
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
+import repro.faults.injector as injector
+from repro.dls import SchedulingSession
 from repro.faults import FaultPlan
 from repro.framework import FaultImpact, Scenario, run_scenario
 from repro.paper import PAPER_SIM_CONFIG, paper_cases, paper_cdsf
+from repro.reporting import write_csv
 
 SEED = 2012
 REPLICATIONS = 2
@@ -92,3 +96,47 @@ def test_bench_zero_rate_plan_is_free(benchmark, emit, baseline):
         ],
     )
     assert result.robustness == baseline.robustness
+
+
+def test_bench_faulted_makespans(benchmark, results_dir, monkeypatch):
+    """Every replication makespan at the highest fault rate, in full.
+
+    ``faults_rho.csv`` records rho2 only, which a changed fault path can
+    leave in place; ``faults_makespans.csv`` holds each makespan's
+    ``repr``, so CI's ``git diff`` sees any change to a faulted run. The
+    run must exercise crashes, blackouts and slowdowns: a crash retires
+    its worker, and a blackout or slowdown counts when its window meets
+    the chunk it is applied to.
+    """
+    retired = []
+    kinds = Counter()
+    retire = SchedulingSession.retire
+    apply_degradations = injector.apply_degradations
+
+    def counting_retire(self, worker_id):
+        retired.append(worker_id)
+        return retire(self, worker_id)
+
+    def counting_apply(start, boundaries, events):
+        finish = float(boundaries[-1])
+        kinds.update(e.kind for e in events if e.time < finish and e.end > start)
+        return apply_degradations(start, boundaries, events)
+
+    monkeypatch.setattr(SchedulingSession, "retire", counting_retire)
+    monkeypatch.setattr(injector, "apply_degradations", counting_apply)
+    raw = benchmark.pedantic(
+        lambda: _run(max(RATES)), rounds=1, iterations=1
+    ).stage_ii.raw
+    write_csv(
+        results_dir / "faults_makespans.csv",
+        ["case", "technique", "app", "replication", "makespan"],
+        [
+            (case, tech, app, r, repr(makespan))
+            for case, by_tech in raw.items()
+            for tech, by_app in by_tech.items()
+            for app, stats in by_app.items()
+            for r, makespan in enumerate(stats.makespans)
+        ],
+    )
+    assert retired, "no worker crashed"
+    assert kinds["blackout"] > 0 and kinds["slowdown"] > 0, kinds

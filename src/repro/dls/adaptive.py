@@ -191,13 +191,22 @@ class _AFSession(SchedulingSession):
                 self.remaining / (self._pilot_factor * self.n_workers)
             )
         # Estimates across all measured workers; unmeasured workers inherit
-        # the requester's estimates (optimistic, quickly corrected).
+        # the requester's estimates (optimistic, quickly corrected). Each
+        # worker's sums are read once, with the arithmetic of its
+        # mean_iter_time and var_iter_time.
         mus: list[float] = []
         sigmas2: list[float] = []
         for other in self.workers.values():
-            om, ov = other.mean_iter_time, other.var_iter_time
-            mus.append(om if om and om > 0 else mu)
-            sigmas2.append(ov if ov is not None else var)
+            n = other.iterations_done
+            if n == 0:
+                mus.append(mu)
+                sigmas2.append(var)
+                continue
+            om = other.sum_t / n
+            mus.append(om if om > 0 else mu)
+            sigmas2.append(
+                max(0.0, other.sum_t2 / n - om * om) if n >= 2 else var
+            )
         d = sum(s2 / m for s2, m in zip(sigmas2, mus))
         t = self.remaining / sum(1.0 / m for m in mus)
         chunk = (d + 2.0 * t - math.sqrt(d * d + 4.0 * d * t)) / (2.0 * mu)

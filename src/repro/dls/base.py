@@ -8,8 +8,11 @@ The simulator drives the technique through a per-execution
 * :meth:`SchedulingSession.next_chunk` — called when a worker requests
   work; returns the chunk size (0 when no iterations remain).
 * :meth:`SchedulingSession.record` — called when a chunk completes, with
-  the measured per-iteration wall-clock times. Non-adaptive techniques
-  ignore it; adaptive techniques (AWF variants, AF) update their estimates.
+  the measured per-iteration wall-clock times. Adaptive techniques (FAC-P,
+  the AWF variants, AF) update their estimates from it. The simulator
+  measures a session only when its technique's
+  :attr:`DLSTechnique.adaptive` is true, so a technique whose chunk rule
+  reads measurements must leave that flag at its default (true).
 
 Techniques are immutable specification objects; all mutable state lives in
 the session, so one technique instance can serve many concurrent simulated
@@ -103,6 +106,10 @@ class SchedulingSession(ABC):
         #: so per-technique distributions survive into run reports. The
         #: simulator stamps it after creating the session.
         self.label: str | None = None
+        #: Whether the simulator reports completed chunks to :meth:`record`.
+        #: The simulator stamps the technique's ``adaptive`` flag here; a
+        #: session built any other way is measured.
+        self.measured = True
 
     # ------------------------------------------------------------------ intro
 
@@ -233,8 +240,11 @@ class DLSTechnique(ABC):
 
     #: Registry identifier, e.g. ``"FAC"``.
     name: ClassVar[str] = "abstract"
-    #: Whether the technique updates its rule from runtime measurements.
-    adaptive: ClassVar[bool] = False
+    #: Whether the technique's chunk rule reads runtime measurements. The
+    #: simulator feeds :meth:`SchedulingSession.record` only when it is
+    #: true, so the default is true: a technique that never sets it keeps
+    #: being measured. A fixed-rule technique declares ``False``.
+    adaptive: ClassVar[bool] = True
 
     @abstractmethod
     def session(

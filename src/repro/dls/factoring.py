@@ -92,6 +92,7 @@ class Factoring(_FactorSpec):
     """FAC: equal chunks of ``remaining / (x * P)`` per batch (default x=2)."""
 
     name = "FAC"
+    adaptive = False
 
     def session(
         self, n_iterations: int, workers: list[WorkerState]
@@ -214,6 +215,7 @@ class WeightedFactoring(_FactorSpec):
     """WF: factoring batches split by fixed relative processor weights."""
 
     name = "WF"
+    adaptive = False
 
     def session(
         self, n_iterations: int, workers: list[WorkerState]

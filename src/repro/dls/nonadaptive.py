@@ -92,6 +92,7 @@ class Static(DLSTechnique):
     """Straightforward parallelization (equal shares, single step)."""
 
     name = "STATIC"
+    adaptive = False
 
     def session(
         self, n_iterations: int, workers: list[WorkerState]
@@ -118,6 +119,7 @@ class SelfScheduling(DLSTechnique):
     """SS: one iteration per request."""
 
     name = "SS"
+    adaptive = False
 
     def session(
         self, n_iterations: int, workers: list[WorkerState]
@@ -143,6 +145,7 @@ class FixedSizeChunking(DLSTechnique):
     overhead: float = 0.0
     sigma: float = 0.0
     name = "FSC"
+    adaptive = False
 
     def __post_init__(self) -> None:
         if self.chunk_size is not None and self.chunk_size < 1:
@@ -183,6 +186,7 @@ class ModifiedFSC(DLSTechnique):
     """
 
     name = "mFSC"
+    adaptive = False
 
     def session(
         self, n_iterations: int, workers: list[WorkerState]
@@ -206,6 +210,7 @@ class Guided(DLSTechnique):
     """GSS: chunk = ceil(remaining / P)."""
 
     name = "GSS"
+    adaptive = False
 
     def session(
         self, n_iterations: int, workers: list[WorkerState]
@@ -268,6 +273,7 @@ class _TrapezoidSpec(DLSTechnique):
 
     first: int | None = None
     last: int = 1
+    adaptive = False
     _session_type: ClassVar[type[_TrapezoidSession]] = _TrapezoidSession
 
     def __post_init__(self) -> None:

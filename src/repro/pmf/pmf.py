@@ -100,7 +100,7 @@ class PMF:
         same pulse and merged.
     """
 
-    __slots__ = ("_values", "_probs")
+    __slots__ = ("_values", "_probs", "_sample_cdf")
 
     def __init__(
         self,
@@ -175,6 +175,7 @@ class PMF:
             check_pmf_canonical(v, p)
         self._values = v
         self._probs = p
+        self._sample_cdf: np.ndarray | None = None  # filled by sample()
 
     # ------------------------------------------------------------------ data
 
@@ -260,9 +261,14 @@ class PMF:
         draw of ``rng.choice(values, size=size, p=probs)``, without its
         argument checks (the constructor guarantees valid probabilities),
         so the samples and the generator's state match it bit for bit.
+        The normalized CDF is computed on the first call and kept.
         """
-        cdf = self._probs.cumsum()
-        cdf /= cdf[-1]
+        cdf = self._sample_cdf
+        if cdf is None:
+            cdf = self._probs.cumsum()
+            cdf /= cdf[-1]
+            cdf.setflags(write=False)
+            self._sample_cdf = cdf
         return self._values[cdf.searchsorted(rng.random(size), side="right")]
 
     # ------------------------------------------------------------ structural

@@ -174,10 +174,14 @@ class ParallelLoopResult:
 
 @dataclass(slots=True)
 class _InFlight:
-    """One dispatched chunk awaiting its completion (or crash) event."""
+    """One dispatched chunk awaiting its completion (or crash) event.
+
+    ``wall_times`` is read only when the session is measured; otherwise
+    it may be ``None``.
+    """
 
     size: int
-    wall_times: np.ndarray
+    wall_times: np.ndarray | None
     chunk_time: float
     finish: float
     record: ChunkRecord
@@ -212,6 +216,18 @@ def _pick_master(
     return min(candidates, key=lambda w: w.worker_id)
 
 
+def _wall_times(ends: np.ndarray, start: float) -> np.ndarray:
+    """Per-iteration wall times of a chunk started at ``start``.
+
+    The differences of the iterations' finish times ``ends``, the first
+    taken from ``start``.
+    """
+    wall_times = ends.copy()
+    wall_times[1:] -= ends[:-1]
+    wall_times[0] -= start
+    return wall_times
+
+
 def _degradation_horizon(finish: float, size: int) -> float:
     """An upper bound on ``start + np.cumsum(wall_times)[-1]``.
 
@@ -244,6 +260,10 @@ def run_parallel_loop(
     Measurements become visible to the scheduling session only when a
     chunk *finishes* (the worker's next request) — recording at dispatch
     time would leak future knowledge into other workers' chunk decisions.
+    A session whose ``measured`` flag is false (a technique whose chunk
+    rule reads no measurements) is never measured: its chunks build no
+    wall times and :meth:`~repro.dls.SchedulingSession.record` is not
+    called.
 
     With a fault ``injector``, the loop additionally models worker
     failure: a crashed worker's in-flight chunk is re-queued through
@@ -275,6 +295,7 @@ def run_parallel_loop(
     failovers: list[MasterFailover] = []
     rescheduled = 0
     degradations = 0
+    measured = session.measured
 
     def _others_alive(wid: int) -> bool:
         return any(
@@ -352,7 +373,8 @@ def run_parallel_loop(
                 continue
             _handle_crash(wid, now, inflight.size)
             continue
-        if inflight is not None:
+        if inflight is not None and measured:
+            assert inflight.wall_times is not None  # built for measured sessions
             session.record(
                 wid, inflight.size, inflight.wall_times,
                 chunk_time=inflight.chunk_time,
@@ -378,12 +400,12 @@ def run_parallel_loop(
         start = now + config.overhead
         ends = worker.execute_chunk(start, size, par_model)
         finish = float(ends[-1])
-        wall_times = ends.copy()
-        wall_times[1:] -= ends[:-1]
-        wall_times[0] -= start
+        wall_times = _wall_times(ends, start) if measured else None
         if injector is not None and injector.may_degrade(
             wid, start, _degradation_horizon(finish, size)
         ):
+            if wall_times is None:
+                wall_times = _wall_times(ends, start)
             boundaries = start + np.cumsum(wall_times)
             adjusted, applied = degraded_boundaries(
                 injector, wid, start, boundaries
@@ -394,20 +416,8 @@ def run_parallel_loop(
                 wall_times = np.diff(np.concatenate(([start], adjusted)))
                 if obs_enabled():
                     obs_event("sim.degraded", start, worker=wid, applied=applied)
-        record = ChunkRecord(
-            worker_id=wid,
-            size=size,
-            request_time=now,
-            start_time=start,
-            finish_time=finish,
-        )
-        inflight = _InFlight(
-            size=size,
-            wall_times=wall_times,
-            chunk_time=finish - now,
-            finish=finish,
-            record=record,
-        )
+        record = ChunkRecord(wid, size, now, start, finish)
+        inflight = _InFlight(size, wall_times, finish - now, finish, record)
         if crash_at is not None and now <= crash_at < finish:
             # The worker dies while this chunk is in flight: surface the
             # crash at its own time so re-dispatch starts immediately,
@@ -587,6 +597,7 @@ def _run_steps(
             loop_start = float(ends[-1])
         session = technique.session(app.n_parallel, states)
         session.label = technique.name
+        session.measured = technique.adaptive
         for wid in retired:
             session.retire(wid)
         loop = run_parallel_loop(

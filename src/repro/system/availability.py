@@ -60,6 +60,14 @@ def _check_start(start: float) -> None:
         )
 
 
+def _check_interval_ends(t0: float, t1: float) -> None:
+    for name, t in (("t0", t0), ("t1", t1)):
+        if not 0 <= t < math.inf:
+            raise SimulationError(
+                f"{name} must be finite and non-negative, got {t}"
+            )
+
+
 class AvailabilityProcess:
     """A realized piecewise-constant availability trajectory.
 
@@ -209,7 +217,12 @@ class AvailabilityProcess:
         return starts[idx] + (works - cum_work[idx]) / seg_rates[idx]
 
     def work_between(self, t0: float, t1: float) -> float:
-        """Dedicated work deliverable in ``[t0, t1]`` (integral of the rate)."""
+        """Dedicated work deliverable in ``[t0, t1]`` (integral of the rate).
+
+        Both ends must be finite and non-negative (the timeline starts at
+        0), with ``t0 <= t1``.
+        """
+        _check_interval_ends(t0, t1)
         if t1 < t0:
             raise SimulationError(f"interval reversed: [{t0}, {t1}]")
         if t1 == t0:
@@ -226,7 +239,11 @@ class AvailabilityProcess:
         return total
 
     def mean_level(self, t0: float, t1: float) -> float:
-        """Time-average availability over ``[t0, t1]``."""
+        """Time-average availability over ``[t0, t1]``.
+
+        ``t0`` and ``t1`` are checked as in :meth:`work_between`.
+        """
+        _check_interval_ends(t0, t1)
         if t1 <= t0:
             raise SimulationError(f"need t1 > t0, got [{t0}, {t1}]")
         return self.work_between(t0, t1) / (self._capacity * (t1 - t0))
@@ -321,19 +338,25 @@ class MarkovAvailability(AvailabilityModel):
             raise ModelError("MarkovAvailability needs at least one state")
         if len(self.mean_sojourn) != n or len(self.transition) != n:
             raise ModelError("levels, mean_sojourn and transition sizes disagree")
-        for lvl in self.levels:
+        for k, lvl in enumerate(self.levels):
             if not 0.0 < lvl <= 1.0:
-                raise ModelError(f"state level must be in (0, 1], got {lvl}")
-        for s in self.mean_sojourn:
-            if s <= 0:
-                raise ModelError(f"mean sojourn must be positive, got {s}")
-        for row in self.transition:
+                raise ModelError(f"levels[{k}] must be in (0, 1], got {lvl}")
+        for k, s in enumerate(self.mean_sojourn):
+            if not 0 < s < math.inf:  # also rejects NaN
+                raise ModelError(
+                    f"mean_sojourn[{k}] must be finite and positive, got {s}"
+                )
+        for k, row in enumerate(self.transition):
             if len(row) != n:
                 raise ModelError("transition matrix must be square")
+            if not all(math.isfinite(p) for p in row):
+                raise ModelError(f"transition[{k}] must be finite, got {row}")
             if abs(sum(row) - 1.0) > 1e-9:
-                raise ModelError("transition rows must sum to 1")
+                raise ModelError(f"transition[{k}] must sum to 1, got {row}")
             if any(p < 0 for p in row):
-                raise ModelError("transition probabilities must be non-negative")
+                raise ModelError(
+                    f"transition[{k}] must be non-negative, got {row}"
+                )
         if not 0 <= self.start_state < n:
             raise ModelError(f"start_state {self.start_state} out of range")
 
@@ -405,9 +428,10 @@ def quota_levels(pmf: PMF, n_processors: int) -> list[float]:
 class TraceAvailability(AvailabilityModel):
     """Replay of a recorded availability trace.
 
-    ``segments`` is a tuple of ``(duration, level)`` pairs; after the trace
-    is exhausted the last level persists forever (so simulations never run
-    off the end of a finite trace).
+    ``segments`` is a tuple of ``(duration, level)`` pairs with finite,
+    positive durations; after the trace is exhausted the last level
+    persists forever (so simulations never run off the end of a finite
+    trace).
     """
 
     segments: tuple[tuple[float, float], ...]
@@ -415,11 +439,16 @@ class TraceAvailability(AvailabilityModel):
     def __post_init__(self) -> None:
         if not self.segments:
             raise ModelError("TraceAvailability needs at least one segment")
-        for duration, level in self.segments:
-            if duration <= 0:
-                raise ModelError(f"trace durations must be positive, got {duration}")
+        for k, (duration, level) in enumerate(self.segments):
+            if not 0 < duration < math.inf:  # also rejects NaN
+                raise ModelError(
+                    f"segments[{k}] duration must be finite and positive, "
+                    f"got {duration}"
+                )
             if not 0.0 < level <= 1.0:
-                raise ModelError(f"trace levels must be in (0, 1], got {level}")
+                raise ModelError(
+                    f"segments[{k}] level must be in (0, 1], got {level}"
+                )
 
     def spawn(self, rng=None, *, capacity: float = 1.0) -> AvailabilityProcess:
         def gen():

@@ -6,12 +6,18 @@ describe the same random variable; these tests verify the two halves of the
 library agree — the strongest internal consistency check available.
 """
 
+import math
+
 import numpy as np
 import pytest
+from scipy.special import gammainc
 
 from repro.apps import Application, normal_exectime_model
+from repro.dls import Static
 from repro.paper import paper_batch, paper_system
 from repro.pmf import PMF, deterministic, percent_availability
+from repro.sim import LoopSimConfig, replicate_application
+from repro.system import ConstantAvailability, HeterogeneousSystem, ProcessorType
 from repro.validation import (
     compare_sample_to_pmf,
     ks_statistic,
@@ -87,3 +93,77 @@ class TestSingleProcessorConsistency:
             app, "t", avail, replications=400, seed=7
         )
         assert report.consistent, report
+
+
+class TestStaticClosedForm:
+    """Stage II against a closed form it shares no code with.
+
+    STATIC with no serial phase hands each of P workers one chunk of
+    k = N/P iterations at time h, the dispatch overhead. Iteration times
+    are Gamma(1/cv^2, mean*cv^2), so a chunk's dedicated time is
+    Gamma(k/cv^2, mean*cv^2); under a constant level worker w runs at rate
+    r_w = capacity * level. The makespan is the latest finish, so
+
+        Pr(makespan <= t) = prod_w P(k/cv^2, (t - h) * r_w / (mean * cv^2))
+
+    with P the regularized lower incomplete gamma. 400 replications at
+    fixed seeds must pass a KS test against it at alpha = 0.01.
+    """
+
+    REPLICATIONS = 400
+
+    @staticmethod
+    def closed_form_cdf(t, k, mean, cv, rates, h):
+        x = np.maximum(t - h, 0.0) / (mean * cv * cv)
+        out = np.ones_like(x)
+        for r in rates:
+            out *= gammainc(k / (cv * cv), x * r)
+        return out
+
+    @staticmethod
+    def ks(samples, cdf):
+        """One-sample KS distance to a continuous CDF."""
+        x = np.sort(np.asarray(samples))
+        f = cdf(x)
+        rank = np.arange(1, x.size + 1) / x.size
+        return max(float(np.max(rank - f)), float(np.max(f - rank + 1 / x.size)))
+
+    @pytest.mark.parametrize(
+        "n, cv, levels, h, seed",
+        [
+            (4096, 0.5, (1.0, 1.0, 0.75, 0.75, 0.5, 0.5, 0.25, 0.25), 1.0, 11),
+            (4096, 0.1, (1.0,) * 8, 1.0, 12),
+            (1000, 0.5, (1.0, 0.8, 0.5, 0.3), 0.0, 13),
+        ],
+        ids=["P8-mixed-cv0.5", "P8-dedicated-cv0.1", "P4-no-overhead"],
+    )
+    def test_makespan_distribution(self, n, cv, levels, h, seed):
+        p = len(levels)
+        assert n % p == 0
+        app = Application(
+            "oracle", 0, n,
+            normal_exectime_model({"t": 2.0 * n}, cv=0.0),
+            iteration_cv=cv,
+        )
+        capacity = 1.5
+        group = HeterogeneousSystem(
+            [ProcessorType("t", p, capacity=capacity)]
+        ).group("t", p)
+        stats = replicate_application(
+            app, group, Static(),
+            replications=self.REPLICATIONS, seed=seed,
+            config=LoopSimConfig(overhead=h, availability_interval=math.inf),
+            availability=[ConstantAvailability(level) for level in levels],
+        )
+        mean = app.parallel_iteration_model("t").mean
+        rates = [capacity * level for level in levels]
+
+        def cdf(t, scale=1.0):
+            return self.closed_form_cdf(
+                t, n // p, mean, cv, [r * scale for r in rates], h
+            )
+
+        limit = ks_threshold(self.REPLICATIONS)
+        assert self.ks(stats.makespans, cdf) < limit
+        # The check has power: rates 3 % off are rejected.
+        assert self.ks(stats.makespans, lambda t: cdf(t, 1.03)) > limit

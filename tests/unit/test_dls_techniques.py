@@ -13,6 +13,7 @@ from repro.dls import (
     ALL_TECHNIQUES,
     AdaptiveFactoring,
     AWFBatch,
+    DLSTechnique,
     Factoring,
     FixedSizeChunking,
     Guided,
@@ -162,6 +163,72 @@ class TestRecoveryAllTechniques:
             return drain(session, 4, feed=skewed_feed)
 
         assert run() == run()
+
+
+FIXED_RULE = sorted(
+    name for name, cls in ALL_TECHNIQUES.items() if not cls.adaptive
+)
+
+
+class TestAdaptiveFlag:
+    """``DLSTechnique.adaptive`` must tell the truth.
+
+    The simulator feeds ``record`` only to adaptive techniques, so a
+    technique that declares ``adaptive = False`` must size its chunks the
+    same whatever its sessions are told.
+    """
+
+    @staticmethod
+    def chunks(name, rng):
+        """Two sessions over one set of worker states, drained round-robin;
+        with ``rng``, every completed chunk records random iteration times
+        and a random chunk time."""
+        states = make_workers(4, powers=[1.0, 2.0, 0.5, 4.0])
+        out = []
+        for _ in range(2):  # states carry over, as in time-stepped runs
+            session = make_technique(name).session(1000, states)
+            live = list(range(4))
+            while live:
+                for w in list(live):
+                    size = session.next_chunk(w)
+                    if size == 0:
+                        live.remove(w)
+                        continue
+                    out.append((w, size))
+                    if rng is not None:
+                        times = rng.exponential(1.0 + w, size)
+                        session.record(
+                            w, size, times,
+                            chunk_time=times.sum() + rng.exponential(5.0),
+                        )
+        return out
+
+    def test_nine_fixed_rule_techniques(self):
+        assert FIXED_RULE == sorted(
+            ["STATIC", "SS", "FSC", "mFSC", "GSS", "TSS", "TFSS", "FAC", "WF"]
+        )
+
+    @pytest.mark.parametrize("name", FIXED_RULE)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fixed_rule_ignores_measurements(self, name, seed):
+        rng = np.random.default_rng(seed)
+        assert self.chunks(name, rng) == self.chunks(name, None)
+
+    @pytest.mark.parametrize("name", ["FAC-P", "AWF", "AWF-B", "AF"])
+    def test_measurements_move_adaptive_chunks(self, name):
+        # The check above can fail: these techniques read what they are fed.
+        rng = np.random.default_rng(0)
+        assert self.chunks(name, rng) != self.chunks(name, None)
+
+    def test_unset_flag_means_measured(self):
+        class Custom(DLSTechnique):
+            name = "custom"
+
+            def session(self, n_iterations, workers):
+                return Factoring().session(n_iterations, workers)
+
+        assert Custom.adaptive is True
+        assert Custom().session(10, make_workers(1)).measured is True
 
 
 class TestStatic:

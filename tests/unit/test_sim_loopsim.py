@@ -5,8 +5,9 @@ import math
 import pytest
 
 from repro.apps import Application, normal_exectime_model
-from repro.dls import ALL_TECHNIQUES, make_technique
+from repro.dls import ALL_TECHNIQUES, SchedulingSession, make_technique
 from repro.errors import SimulationError
+from repro.faults import FaultPlan
 from repro.sim import (
     LoopSimConfig,
     replicate_application,
@@ -269,6 +270,59 @@ class TestEveryTechnique:
         busy = sum(c.elapsed + self.OVERHEAD for c in result.chunks)
         last_dispatch = max(c.request_time for c in result.chunks)
         assert last_dispatch <= result.serial_time + busy / len(self.LEVELS) + 1e-9
+
+
+FIXED_RULE = sorted(
+    name for name, cls in ALL_TECHNIQUES.items() if not cls.adaptive
+)
+
+
+class TestMeasurement:
+    """Only sessions of adaptive techniques are measured.
+
+    ``run_parallel_loop`` skips the wall times and ``record`` when the
+    technique's ``adaptive`` flag is false; forcing the flag on must
+    change nothing for a technique whose chunk rule reads no measurements.
+    """
+
+    @pytest.fixture
+    def setup(self, paper_like_batch, paper_like_system):
+        return paper_like_batch.app("app3"), paper_like_system.group("type2", 8)
+
+    @pytest.mark.parametrize(
+        "plan", [None, FaultPlan.chaos(1e-3)], ids=["clean", "chaos"]
+    )
+    @pytest.mark.parametrize("name", FIXED_RULE)
+    def test_forced_measurement_changes_nothing(
+        self, setup, name, plan, monkeypatch
+    ):
+        app, group = setup
+        technique = make_technique(name)
+        config = LoopSimConfig(faults=plan)
+        plain = simulate_application(app, group, technique, seed=5, config=config)
+        monkeypatch.setattr(type(technique), "adaptive", True)
+        measured = simulate_application(
+            app, group, technique, seed=5, config=config
+        )
+        assert measured == plain  # makespan, chunks, finish times, faults
+        if plan is not None:
+            assert plain.degradations_applied > 0
+
+    @pytest.mark.parametrize("name", ["FAC", "WF", "AWF-B", "AF"])
+    def test_record_called_only_for_adaptive(self, setup, name, monkeypatch):
+        app, group = setup
+        calls = []
+        record = SchedulingSession.record
+
+        def spy(self, *args, **kwargs):
+            calls.append(args[0])
+            return record(self, *args, **kwargs)
+
+        monkeypatch.setattr(SchedulingSession, "record", spy)
+        technique = make_technique(name)
+        result = simulate_application(app, group, technique, seed=5)
+        # Each completed chunk is recorded at its worker's next request.
+        assert len(calls) == (len(result.chunks) if technique.adaptive else 0)
 
 
 class TestConfigValidation:

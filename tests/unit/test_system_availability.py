@@ -181,6 +181,39 @@ class TestNonFiniteRejected:
         with pytest.raises(SimulationError, match="duration"):
             proc.level_at(0.0)
 
+    # A timeline of three segments: a check that came after extending the
+    # timeline to an infinite end would exhaust it, never hang.
+    BAD_INTERVALS = pytest.mark.parametrize(
+        "t0, t1, name",
+        [
+            (math.nan, 5.0, "t0"),
+            (0.0, math.nan, "t1"),
+            (-5.0, 5.0, "t0"),
+            (0.0, math.inf, "t1"),
+            (math.inf, math.inf, "t0"),
+        ],
+    )
+
+    @staticmethod
+    def short_process():
+        return AvailabilityProcess(iter([(10.0, 1.0)] * 3))
+
+    @BAD_INTERVALS
+    def test_work_between(self, t0, t1, name):
+        with pytest.raises(SimulationError, match=f"{name} must be finite"):
+            self.short_process().work_between(t0, t1)
+
+    @BAD_INTERVALS
+    def test_mean_level(self, t0, t1, name):
+        with pytest.raises(SimulationError, match=f"{name} must be finite"):
+            self.short_process().mean_level(t0, t1)
+
+    def test_reversed_interval(self):
+        with pytest.raises(SimulationError, match="interval reversed"):
+            self.short_process().work_between(5.0, 3.0)
+        with pytest.raises(SimulationError, match="need t1 > t0"):
+            self.short_process().mean_level(5.0, 3.0)
+
 
 class TestMarkov:
     @pytest.fixture
@@ -219,6 +252,20 @@ class TestMarkov:
         with pytest.raises(ModelError):
             MarkovAvailability((1.0,), (1.0,), ((1.0,),), start_state=3)
 
+    @pytest.mark.parametrize(
+        "sojourn, field",
+        [((1.0, math.nan), r"mean_sojourn\[1\]"),
+         ((math.inf, 1.0), r"mean_sojourn\[0\]")],
+    )
+    def test_non_finite_sojourn_rejected(self, sojourn, field):
+        with pytest.raises(ModelError, match=field):
+            MarkovAvailability((1.0, 0.5), sojourn, ((0.0, 1.0), (1.0, 0.0)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_transition_rejected(self, bad):
+        with pytest.raises(ModelError, match=r"transition\[1\]"):
+            MarkovAvailability((1.0, 0.5), (1.0, 1.0), ((0.0, 1.0), (bad, 1.0)))
+
 
 class TestTrace:
     def test_replay(self):
@@ -244,6 +291,16 @@ class TestTrace:
             TraceAvailability(((0.0, 0.5),))
         with pytest.raises(ModelError):
             TraceAvailability(((1.0, 0.0),))
+
+    @pytest.mark.parametrize(
+        "segments, field",
+        [(((math.nan, 0.5),), r"segments\[0\] duration"),
+         (((10.0, 0.5), (math.inf, 1.0)), r"segments\[1\] duration"),
+         (((10.0, 0.5), (1.0, math.nan)), r"segments\[1\] level")],
+    )
+    def test_non_finite_segment_rejected(self, segments, field):
+        with pytest.raises(ModelError, match=field):
+            TraceAvailability(segments)
 
 
 class TestQuota:

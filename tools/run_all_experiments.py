@@ -47,6 +47,12 @@ DESCRIPTIONS = {
     "ext_multibatch": "multi-batch stream",
     "ext_fepia": "FePIA robustness radii",
     "ext_phi1_validation": "analytic vs simulated phi1",
+    "faults_rho": "(rho1, rho2) vs chaos fault rate (scenario 4)",
+    "faults_zero_rate": "zero-rate fault plan vs fault-free baseline",
+    "faults_makespans": (
+        "every replication makespan at the highest chaos fault rate "
+        "(scenario 4)"
+    ),
 }
 
 
