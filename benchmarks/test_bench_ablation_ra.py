@@ -13,13 +13,13 @@ from repro.apps import WorkloadSpec, random_instance
 from repro.paper import data, paper_batch, paper_system
 from repro.ra import (
     AnnealingAllocator,
-    BranchAndBoundAllocator,
     EqualShareAllocator,
     ExhaustiveAllocator,
     GeneticAllocator,
     GreedyPackingAllocator,
     GreedyRobustAllocator,
     MaxMinAllocator,
+    MILPAllocator,
     MinMinAllocator,
     StageIEvaluator,
     SufferageAllocator,
@@ -28,7 +28,7 @@ from repro.ra import (
 HEURISTICS = [
     EqualShareAllocator(),
     ExhaustiveAllocator(),
-    BranchAndBoundAllocator(),
+    MILPAllocator(),
     GreedyRobustAllocator(),
     GreedyPackingAllocator(),
     MinMinAllocator(),

@@ -85,8 +85,8 @@ def normal_exectime_model(
 
     ``cv`` defaults to the paper's ``sigma = mu / 10``.
     """
-    if cv < 0:
-        raise ModelError(f"coefficient of variation must be >= 0, got {cv}")
+    if not 0 <= cv < math.inf:  # also rejects NaN
+        raise ModelError(f"cv must be finite and >= 0, got {cv}")
     return ExecutionTimeModel(
         {
             name: discretized_normal(mu, cv * mu, n_points=n_points)

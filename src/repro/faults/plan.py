@@ -30,6 +30,7 @@ is what the zero-rate bit-for-bit property test pins down.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from ..errors import FaultError
@@ -60,16 +61,21 @@ class FaultEvent:
             raise FaultError(
                 f"unknown fault kind {self.kind!r}; expected one of {FAULT_KINDS}"
             )
-        # The `not ... >=` / `not ... >` forms also reject NaN, which
-        # every comparison in the injector and the loop would ignore.
-        if not self.time >= 0:
-            raise FaultError(f"fault time must be >= 0, got {self.time}")
+        # NaN fails every comparison the injector and the loop make, and
+        # an infinite time, duration or factor makes the degradation scan
+        # run forever or a makespan infinite: all three must be finite.
+        if not 0 <= self.time < math.inf:
+            raise FaultError(f"fault time must be finite and >= 0, got {self.time}")
         if self.worker < 0:
             raise FaultError(f"fault worker must be >= 0, got {self.worker}")
+        if not math.isfinite(self.duration):
+            raise FaultError(f"fault duration must be finite, got {self.duration}")
         if self.kind in ("blackout", "slowdown") and not self.duration > 0:
             raise FaultError(
                 f"{self.kind} faults need a positive duration, got {self.duration}"
             )
+        if not math.isfinite(self.factor):
+            raise FaultError(f"fault factor must be finite, got {self.factor}")
         if self.kind == "slowdown" and not self.factor > 1.0:
             raise FaultError(
                 f"slowdown factor must be > 1, got {self.factor}"
@@ -106,9 +112,22 @@ class FaultPlan:
     events: tuple[FaultEvent, ...] = ()
 
     def __post_init__(self) -> None:
+        # An infinite blackout or slowdown rate draws arrivals 0 apart and
+        # an infinite blackout duration or slowdown factor stretches a
+        # timeline to infinity, which hangs the degradation scan; an
+        # infinite crash rate or slowdown duration kills or slows every
+        # worker for good. So every parameter must be finite (which also
+        # rejects NaN).
+        for name in (
+            "crash_rate", "blackout_rate", "blackout_duration", "slowdown_rate",
+            "slowdown_duration", "slowdown_factor", "failover_delay",
+        ):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise FaultError(f"{name} must be finite, got {value}")
         for name in ("crash_rate", "blackout_rate", "slowdown_rate"):
             rate = getattr(self, name)
-            if not rate >= 0:  # also rejects NaN
+            if rate < 0:
                 raise FaultError(f"{name} must be >= 0, got {rate}")
         for name in ("blackout_duration", "slowdown_duration"):
             mean = getattr(self, name)
@@ -118,7 +137,7 @@ class FaultPlan:
             raise FaultError(
                 f"slowdown_factor must be > 1, got {self.slowdown_factor}"
             )
-        if not self.failover_delay >= 0:
+        if self.failover_delay < 0:
             raise FaultError(
                 f"failover_delay must be >= 0, got {self.failover_delay}"
             )
@@ -148,8 +167,10 @@ class FaultPlan:
         makespans: ``chaos()`` injects a handful of degradations and the
         occasional crash per replicated run.
         """
-        if intensity <= 0:
-            raise FaultError(f"chaos intensity must be > 0, got {intensity}")
+        if not (math.isfinite(intensity) and intensity > 0):
+            raise FaultError(
+                f"chaos intensity must be finite and > 0, got {intensity}"
+            )
         return cls(
             crash_rate=intensity / 5.0,
             blackout_rate=intensity,

@@ -1,8 +1,8 @@
 """Stage I — robust resource allocation (initial mapping).
 
 Allocation data structures, the phi_1 robustness evaluator, and the RA
-heuristic family: naive equal-share, exhaustive optimal, greedy, Min-Min /
-Max-Min / Sufferage, simulated annealing, and genetic.
+heuristic family: naive equal-share, exhaustive and MILP optimal, greedy,
+Min-Min / Max-Min / Sufferage, simulated annealing, and genetic.
 """
 
 from .allocation import (
@@ -15,7 +15,7 @@ from .robustness import StageIEvaluator, AllocationReport, completion_pmf
 from .base import RAHeuristic, RAResult, SearchSpace
 from .naive import EqualShareAllocator
 from .exhaustive import ExhaustiveAllocator
-from .branchbound import BranchAndBoundAllocator
+from .milp import MILPAllocator
 from .greedy import GreedyRobustAllocator, GreedyPackingAllocator
 from .minmin import MinMinAllocator, MaxMinAllocator, SufferageAllocator
 from .annealing import AnnealingAllocator
@@ -28,7 +28,7 @@ HEURISTICS: dict[str, type[RAHeuristic]] = {
     for cls in (
         EqualShareAllocator,
         ExhaustiveAllocator,
-        BranchAndBoundAllocator,
+        MILPAllocator,
         GreedyRobustAllocator,
         GreedyPackingAllocator,
         MinMinAllocator,
@@ -52,7 +52,7 @@ __all__ = [
     "SearchSpace",
     "EqualShareAllocator",
     "ExhaustiveAllocator",
-    "BranchAndBoundAllocator",
+    "MILPAllocator",
     "GreedyRobustAllocator",
     "GreedyPackingAllocator",
     "MinMinAllocator",

@@ -177,7 +177,8 @@ class _InFlight:
     """One dispatched chunk awaiting its completion (or crash) event.
 
     ``wall_times`` is read only when the session is measured; otherwise
-    it may be ``None``.
+    it may be ``None``, or the undegraded times the degradation pass
+    started from.
     """
 
     size: int
@@ -413,7 +414,8 @@ def run_parallel_loop(
             if applied:
                 degradations += applied
                 finish = float(adjusted[-1])
-                wall_times = np.diff(np.concatenate(([start], adjusted)))
+                if measured:
+                    wall_times = np.diff(np.concatenate(([start], adjusted)))
                 if obs_enabled():
                     obs_event("sim.degraded", start, worker=wid, applied=applied)
         record = ChunkRecord(wid, size, now, start, finish)

@@ -1,8 +1,8 @@
 """Property-based tests of stage-I allocation (hypothesis).
 
 On random small instances: every heuristic produces feasible allocations,
-no heuristic beats the exhaustive optimum, and the search space's bitmask
-look-ahead gives Hall's condition's verdict.
+no heuristic beats the exhaustive optimum, the MILP matches it, and the
+search space's bitmask look-ahead gives Hall's condition's verdict.
 """
 
 import pytest
@@ -10,11 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps import Application, Batch, ExecutionTimeModel, normal_exectime_model
+from repro.contracts import check_allocation_feasible
 from repro.pmf import PMF, deterministic
 from repro.ra import (
     ExhaustiveAllocator,
     GreedyRobustAllocator,
     MaxMinAllocator,
+    MILPAllocator,
     MinMinAllocator,
     SearchSpace,
     StageIEvaluator,
@@ -74,6 +76,17 @@ def test_exhaustive_is_optimal_upper_bound(instance):
         # feasibility
         for tname, used in result.allocation.usage().items():
             assert used <= system.type(tname).count
+
+
+@settings(max_examples=20, deadline=None)
+@given(instances())
+def test_milp_matches_exhaustive(instance):
+    system, batch, deadline = instance
+    evaluator = StageIEvaluator(batch, system, deadline)
+    optimum = ExhaustiveAllocator().allocate(evaluator).robustness
+    found = MILPAllocator().allocate(evaluator)
+    check_allocation_feasible(found.allocation, system, batch)
+    assert found.robustness == pytest.approx(optimum, rel=1e-12, abs=0.0)
 
 
 @settings(max_examples=25, deadline=None)

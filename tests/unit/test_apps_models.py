@@ -50,6 +50,11 @@ class TestExecutionTimeModel:
         with pytest.raises(ModelError):
             normal_exectime_model({"a": 1.0}, cv=-0.1)
 
+    @pytest.mark.parametrize("cv", [math.nan, math.inf])
+    def test_normal_factory_non_finite_cv(self, cv):
+        with pytest.raises(ModelError, match="^cv must be finite"):
+            normal_exectime_model({"t": 100.0}, cv=cv)
+
 
 class TestIterationTimeModel:
     def test_deterministic(self):

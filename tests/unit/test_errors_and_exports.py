@@ -98,3 +98,26 @@ class TestPackageSurface:
         )
         run = subprocess.run([sys.executable, "-c", code], timeout=120)
         assert run.returncode == 0, "importing repro loaded scipy.stats"
+
+    def test_only_the_milp_loads_scipy_optimize(self):
+        # scipy.optimize costs ~0.2-0.8 s to import; importing repro and
+        # running every other registered heuristic must not pay for it.
+        from repro.ra import HEURISTICS
+
+        others = sorted(set(HEURISTICS) - {"milp-optimal"})
+        code = (
+            "import sys\n"
+            "import repro, repro.ra\n"
+            "from repro.paper import paper_batch, paper_system\n"
+            "from repro.ra import HEURISTICS, StageIEvaluator\n"
+            "ev = StageIEvaluator(paper_batch(), paper_system('case1'), 3250.0)\n"
+            f"for name in {others!r}:\n"
+            "    HEURISTICS[name]().allocate(ev)\n"
+            "assert 'scipy.optimize' not in sys.modules, 'loaded before the MILP'\n"
+            "HEURISTICS['milp-optimal']().allocate(ev)\n"
+            "assert 'scipy.optimize' in sys.modules, 'the MILP did not load it'\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
+        )
+        assert run.returncode == 0, run.stderr

@@ -57,6 +57,23 @@ class TestFaultEvent:
         with pytest.raises(FaultError):
             FaultEvent(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"time": math.inf, "worker": 0}, "time"),
+            # An infinite blackout alone made the makespan infinite; with
+            # a blackout rate beside it the simulator never returned.
+            ({"time": 5.0, "worker": 0, "kind": "blackout", "duration": math.inf},
+             "duration"),
+            ({"time": 5.0, "worker": 0, "kind": "slowdown", "duration": 1.0,
+              "factor": math.inf}, "factor"),
+            ({"time": 5.0, "worker": 0, "duration": math.inf}, "duration"),
+        ],
+    )
+    def test_non_finite_events_rejected(self, kwargs, field):
+        with pytest.raises(FaultError, match=f"fault {field} must be finite"):
+            FaultEvent(**kwargs)
+
     def test_events_order_by_time(self):
         a = FaultEvent(time=1.0, worker=3)
         b = FaultEvent(time=2.0, worker=0)
@@ -87,6 +104,33 @@ class TestFaultPlan:
     def test_invalid_plans_rejected(self, kwargs):
         with pytest.raises(FaultError):
             FaultPlan(**kwargs)
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            # Infinite blackout/slowdown rates, blackout durations and
+            # slowdown factors hung the simulator; an infinite crash rate
+            # crashed every worker but one at t = 0, and an infinite
+            # slowdown duration made every slowdown permanent.
+            "crash_rate",
+            "blackout_rate",
+            "blackout_duration",
+            "slowdown_rate",
+            "slowdown_duration",
+            "slowdown_factor",
+            "failover_delay",
+        ],
+    )
+    def test_non_finite_plans_rejected(self, field):
+        with pytest.raises(FaultError, match=f"^{field} must be finite, got inf"):
+            FaultPlan(**{field: math.inf})
+
+    @pytest.mark.parametrize("intensity", [math.inf, math.nan, 0.0, -1e-3])
+    def test_chaos_intensity_named(self, intensity):
+        # chaos(nan) used to fail on "crash_rate", a field the caller
+        # never passed; chaos(inf) hung the simulator.
+        with pytest.raises(FaultError, match="chaos intensity must be finite"):
+            FaultPlan.chaos(intensity)
 
     def test_chaos_scales_with_intensity(self):
         plan = FaultPlan.chaos(1e-3)

@@ -1,5 +1,7 @@
 """Unit tests for PMF constructors (repro.pmf.constructors)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,23 @@ class TestDiscretizedNormal:
     def test_negative_std_rejected(self):
         with pytest.raises(PMFError):
             discretized_normal(10.0, -1.0)
+
+    @pytest.mark.parametrize(
+        "mean, std, field",
+        [
+            (math.nan, 1.0, "mean"),
+            (math.inf, 1.0, "mean"),
+            (100.0, math.nan, "std"),
+            (100.0, math.inf, "std"),
+        ],
+    )
+    def test_non_finite_parameters_named(self, mean, std, field):
+        # These used to fail deep inside PMF construction ("support
+        # contains non-finite values"), naming no argument.
+        with pytest.raises(PMFError, match=f"^{field} must be finite"):
+            discretized_normal(mean, std)
+        with pytest.raises(PMFError, match=f"^{field} must be finite"):
+            sampled_normal(mean, std, rng=0)
 
     def test_too_few_points_rejected(self):
         with pytest.raises(PMFError):

@@ -269,7 +269,7 @@ class TestRegistry:
         assert set(HEURISTICS) == {
             "naive-equal-share",
             "exhaustive-optimal",
-            "branch-and-bound",
+            "milp-optimal",
             "greedy-robust",
             "greedy-packing",
             "min-min",
@@ -398,10 +398,10 @@ def restricted_evaluator():
 
 
 #: (instance, heuristic) -> (allocation as "app:type:size" rows, exact
-#: phi_1, evaluations). Randomized heuristics run with ``rng=7``.
+#: phi_1, evaluations). Randomized heuristics run with ``rng=7``. The
+#: MILP's allocation is pinned only where the optimum is unique (rows
+#: ``None`` otherwise): its pick among tied optima may change with SciPy.
 PINNED = {
-    ("paper", "branch-and-bound"):
-        ("app1:type1:2 app2:type1:2 app3:type2:8", 0.7447125832597674, 56),
     ("paper", "exhaustive-optimal"):
         ("app1:type1:2 app2:type1:2 app3:type2:8", 0.7447125832597674, 153),
     ("paper", "genetic"):
@@ -412,6 +412,8 @@ PINNED = {
         ("app1:type1:2 app2:type1:2 app3:type2:8", 0.7447125832597674, 32),
     ("paper", "max-min"):
         ("app1:type1:1 app2:type1:2 app3:type2:8", 0.7446409629361616, 27),
+    ("paper", "milp-optimal"):
+        ("app1:type1:2 app2:type1:2 app3:type2:8", 0.7447125832597674, 21),
     ("paper", "min-min"):
         ("app1:type1:1 app2:type1:2 app3:type2:8", 0.7446409629361616, 38),
     ("paper", "naive-equal-share"):
@@ -420,8 +422,6 @@ PINNED = {
         ("app1:type1:2 app2:type1:2 app3:type2:8", 0.7447125832597674, 2347),
     ("paper", "sufferage"):
         ("app1:type1:1 app2:type1:2 app3:type2:8", 0.7446409629361617, 27),
-    ("seeded", "branch-and-bound"):
-        ("app1:type3:4 app2:type3:4 app3:type1:4 app4:type1:2", 0.83686561883328, 124),
     ("seeded", "exhaustive-optimal"):
         ("app1:type3:4 app2:type3:4 app3:type1:4 app4:type1:2", 0.83686561883328, 5591),
     ("seeded", "genetic"):
@@ -432,6 +432,9 @@ PINNED = {
         ("app1:type1:8 app2:type3:8 app3:type2:2 app4:type2:2", 0.007004689338880879, 66),
     ("seeded", "max-min"):
         ("app1:type1:8 app2:type3:8 app3:type2:2 app4:type2:2", 0.007004689338880878, 71),
+    # Two allocations share the optimum (app4 on 2 or 4 type1
+    # processors), so the MILP's pick is not pinned.
+    ("seeded", "milp-optimal"): (None, 0.83686561883328, 44),
     ("seeded", "min-min"):
         ("app1:type3:8 app2:type2:4 app3:type1:4 app4:type1:2", 0.4773964784215368, 97),
     ("seeded", "naive-equal-share"):
@@ -440,8 +443,6 @@ PINNED = {
         ("app1:type1:4 app2:type3:8 app3:type1:2 app4:type1:2", 0.50106918329376, 2800),
     ("seeded", "sufferage"):
         ("app1:type1:8 app2:type3:8 app3:type2:2 app4:type2:2", 0.007004689338880879, 71),
-    ("restricted", "branch-and-bound"):
-        ("a0:t2:1 a1:t2:2 a2:t1:4 a3:t2:2", 0.3366374235920712, 64),
     ("restricted", "exhaustive-optimal"):
         ("a0:t2:1 a1:t2:2 a2:t1:4 a3:t2:2", 0.3366374235920712, 145),
     ("restricted", "genetic"):
@@ -452,6 +453,8 @@ PINNED = {
         ("a0:t1:2 a1:t2:1 a2:t1:4 a3:t2:4", 0.17315809239772884, 31),
     ("restricted", "max-min"):
         ("a0:t1:4 a1:t2:1 a2:t2:2 a3:t2:2", 0.32969887932184394, 39),
+    ("restricted", "milp-optimal"):
+        ("a0:t2:1 a1:t2:2 a2:t1:4 a3:t2:2", 0.3366374235920712, 20),
     ("restricted", "min-min"):
         ("a0:t1:4 a1:t2:4 a2:t1:2 a3:t2:1", 0.051513451981973726, 31),
     ("restricted", "naive-equal-share"):
@@ -473,4 +476,7 @@ def test_pinned_answer(name, instance, evaluator):
     }[instance]()
     result = make_heuristic(name).allocate(ev)
     rows = " ".join(f"{app}:{ptype}:{size}" for app, ptype, size in table(result))
-    assert (rows, result.robustness, result.evaluations) == PINNED[instance, name]
+    pinned_rows, phi1, evaluations = PINNED[instance, name]
+    assert (result.robustness, result.evaluations) == (phi1, evaluations)
+    if pinned_rows is not None:
+        assert rows == pinned_rows
