@@ -4,13 +4,15 @@ The CDSF reproduction rests on a handful of invariants that ordinary
 linters cannot express: all randomness flows through :mod:`repro.rng`,
 :class:`~repro.pmf.PMF` instances are immutable, every concrete technique /
 heuristic is reachable through its registry, time/probability values
-are never compared with ``==``, pool payloads pickle, and trace names
-match the schema registry. This package machine-checks them.
+are never compared with ``==``, and pool payloads pickle. This package
+machine-checks them. (Trace names are checked at runtime instead:
+``tests/integration/test_obs_names.py`` holds every emitter to the list
+in ``docs/observability.md``.)
 
 Every rule reads one module at a time and resolves names through that
 module's own import statements (:meth:`~repro._lint.core.Module.resolve`);
-only registry completeness (REG001/REG002) and schema coverage (OBS103)
-compare modules with each other. There is no call graph.
+only registry completeness (REG001/REG002) compares modules with each
+other. There is no call graph.
 
 Entry points
 ------------
@@ -44,7 +46,6 @@ from . import rules_floats  # noqa: F401  (registers FLT001)
 from . import rules_exports  # noqa: F401  (registers ALL001-ALL003)
 from . import rules_obs  # noqa: F401  (registers OBS001-OBS002)
 from . import rules_exec  # noqa: F401  (registers EXEC001, EXEC101-EXEC102)
-from . import rules_schema  # noqa: F401  (registers OBS101-OBS103)
 
 __all__ = [
     "Finding",

@@ -12,9 +12,9 @@ orchestrator — through three primitives:
 * :func:`get_logger` / :func:`console` — the library's only logging and
   stdout paths (enforced by lint rule ``OBS001``).
 
-Every event, metric, and span name is declared in :mod:`repro.obs.schema`
-— the registry lint rules ``OBS101``–``OBS103`` hold emitters and
-consumers to.
+Every event, metric, and span name is listed in the tables of
+``docs/observability.md``; ``tests/integration/test_obs_names.py`` runs
+every emitter and holds what it records to that list.
 
 Observation is **off by default** and every hook compiles down to one
 module-global ``is None`` check when off (same philosophy as
@@ -43,7 +43,6 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from ..errors import ObservabilityError
-from . import schema
 from .env import cpu_counts, env_fingerprint, git_revision, utc_stamp
 from .logs import LOGGER_NAME, configure_logging, console, get_logger, log
 from .metrics import (
@@ -146,7 +145,6 @@ __all__ = [
     "render_run_comparison",
     "render_run_report",
     "resolve_run",
-    "schema",
     "span",
     "span_self_times",
     "start",

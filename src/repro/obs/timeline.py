@@ -31,10 +31,6 @@ from typing import TYPE_CHECKING
 
 from ..errors import ObservabilityError
 
-#: Event names the simulator emits that a timeline overlays. Declared in
-#: the trace-schema registry; re-exported here for consumers.
-from .schema import FAULT_EVENT_NAMES
-
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from ..sim.results import AppRunResult
 
@@ -50,6 +46,12 @@ __all__ = [
     "chrome_trace_events",
     "write_chrome_trace",
 ]
+
+#: The simulator's fault events (docs/observability.md's event table less
+#: ``sim.chunk``), which a timeline overlays as instant events.
+FAULT_EVENT_NAMES = frozenset(
+    {"sim.crash", "sim.requeue", "sim.failover", "sim.degraded"}
+)
 
 
 @dataclass(frozen=True)

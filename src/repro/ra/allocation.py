@@ -22,6 +22,7 @@ from ..system import HeterogeneousSystem, ProcessorGroup
 __all__ = [
     "Allocation",
     "candidate_assignments",
+    "count_allocations",
     "enumerate_allocations",
     "powers_of_two_upto",
     "type_usage",
@@ -171,6 +172,20 @@ def candidate_assignments(
     return groups
 
 
+def _candidate_lists(
+    batch: Batch, system: HeterogeneousSystem, allowed: set[int] | None
+) -> list[list[ProcessorGroup]]:
+    """Each application's candidate groups of an ``allowed`` size, in order."""
+    return [
+        [
+            g
+            for g in candidate_assignments(name, batch, system)
+            if allowed is None or g.size in allowed
+        ]
+        for name in batch.names
+    ]
+
+
 def enumerate_allocations(
     batch: Batch,
     system: HeterogeneousSystem,
@@ -188,18 +203,13 @@ def enumerate_allocations(
     """
     names = batch.names
     sizes_allowed = set(sizes_filter) if sizes_filter is not None else None
-
-    candidates_per_app = []
-    for name in names:
-        cands = candidate_assignments(name, batch, system)
-        if sizes_allowed is not None:
-            cands = [g for g in cands if g.size in sizes_allowed]
+    candidates_per_app = _candidate_lists(batch, system, sizes_allowed)
+    for name, cands in zip(names, candidates_per_app):
         if not cands:
             raise InfeasibleAllocationError(
                 f"no candidate groups for application {name!r} under the "
                 f"size filter {sorted(sizes_allowed) if sizes_allowed else None}"
             )
-        candidates_per_app.append(cands)
 
     assignment: dict[str, ProcessorGroup] = {}
 
@@ -218,3 +228,41 @@ def enumerate_allocations(
             del assignment[name]
 
     return backtrack(0, {t.name: t.count for t in system.types})
+
+
+def count_allocations(
+    batch: Batch,
+    system: HeterogeneousSystem,
+    limit: int,
+    *,
+    sizes_filter: Iterable[int] | None = None,
+) -> int:
+    """How many allocations :func:`enumerate_allocations` yields, capped.
+
+    Returns ``limit + 1`` as soon as more than ``limit`` exist, and 0 when
+    an application has no candidate group under ``sizes_filter``. No
+    allocation is built: the number of ways to place applications ``i``
+    onward depends only on ``i`` and the processors left of each type, so
+    it is memoized on that state.
+    """
+    candidates_per_app = _candidate_lists(
+        batch, system, set(sizes_filter) if sizes_filter is not None else None
+    )
+    slot = {t.name: k for k, t in enumerate(system.types)}
+    cap = limit + 1
+    memo: dict[tuple[int, tuple[int, ...]], int] = {}
+
+    def count(i: int, remaining: tuple[int, ...]) -> int:
+        if i == len(candidates_per_app):
+            return 1
+        if (i, remaining) not in memo:
+            total = 0
+            for group in candidates_per_app[i]:
+                k = slot[group.ptype.name]
+                if total < cap and group.size <= remaining[k]:
+                    left = (*remaining[:k], remaining[k] - group.size, *remaining[k + 1:])
+                    total += count(i + 1, left)
+            memo[i, remaining] = min(total, cap)
+        return memo[i, remaining]
+
+    return count(0, tuple(t.count for t in system.types))

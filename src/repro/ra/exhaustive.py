@@ -17,7 +17,7 @@ from itertools import islice
 from ..contracts import check_allocation_feasible, contracts_enabled
 from ..errors import InfeasibleAllocationError
 from ..exec import ExecutionBackend, evaluate_allocations
-from .allocation import Allocation, enumerate_allocations
+from .allocation import Allocation, count_allocations, enumerate_allocations
 from .base import RAHeuristic, RAResult
 from .robustness import StageIEvaluator
 
@@ -29,36 +29,40 @@ MAX_EVALUATIONS = 2_000_000
 
 def best_enumerated(
     evaluator: StageIEvaluator,
-    allocations: Iterable[Allocation],
     backend: ExecutionBackend | None,
     limit: int,
+    *,
+    sizes_filter: Iterable[int] | None = None,
 ) -> tuple[Allocation, float, int] | None:
-    """The best of ``allocations`` as ``(allocation, phi_1, scored)``.
+    """The best allocation of an enumeration as ``(allocation, phi_1, scored)``.
 
-    Best means highest phi_1, then fewest processors, then earliest in
-    enumeration order. The enumeration is scored in bounded windows, each
-    fanned out over ``backend`` by
+    The enumeration is :func:`~repro.ra.allocation.enumerate_allocations`
+    under ``sizes_filter``. Best means highest phi_1, then fewest
+    processors, then earliest in enumeration order. The allocations are
+    counted first: more than ``limit`` raises ``InfeasibleAllocationError``
+    before any is scored, and none returns ``None``. Then they are scored
+    in bounded windows, each fanned out over ``backend`` by
     :func:`~repro.exec.evaluate_allocations` and reduced in order, so
-    every backend picks the same allocation. Returns ``None`` for an empty
-    enumeration; raises ``InfeasibleAllocationError`` once it yields more
-    than ``limit`` allocations.
+    every backend picks the same allocation.
     """
+    batch, system = evaluator.batch, evaluator.system
+    total = count_allocations(batch, system, limit, sizes_filter=sizes_filter)
+    if total > limit:
+        raise InfeasibleAllocationError(
+            f"enumeration exceeded {limit} allocations; use a scalable "
+            "heuristic (greedy, min-min, annealing, genetic) for "
+            "instances of this size"
+        )
+    if total == 0:
+        return None
     window = max(256, 16 * (backend.workers if backend is not None else 1))
-    allocations = iter(allocations)
+    allocations = enumerate_allocations(batch, system, sizes_filter=sizes_filter)
     best: Allocation | None = None
     best_key = (0.0, 0)
-    scored = 0
     while chunk := list(islice(allocations, window)):
-        scored += len(chunk)
-        if scored > limit:
-            raise InfeasibleAllocationError(
-                f"enumeration exceeded {limit} allocations; use a scalable "
-                "heuristic (greedy, min-min, annealing, genetic) for "
-                "instances of this size"
-            )
         if contracts_enabled():
             for allocation in chunk:
-                check_allocation_feasible(allocation, evaluator.system, evaluator.batch)
+                check_allocation_feasible(allocation, system, batch)
         scores = evaluate_allocations(
             evaluator, [dict(a.items()) for a in chunk], backend
         )
@@ -66,9 +70,8 @@ def best_enumerated(
             key = (rob, -allocation.total_processors())
             if best is None or key > best_key:
                 best, best_key = allocation, key
-    if best is None:
-        return None
-    return best, best_key[0], scored
+    assert best is not None
+    return best, best_key[0], total
 
 
 class ExhaustiveAllocator(RAHeuristic):
@@ -94,12 +97,7 @@ class ExhaustiveAllocator(RAHeuristic):
         *,
         backend: ExecutionBackend | None = None,
     ) -> RAResult:
-        found = best_enumerated(
-            evaluator,
-            enumerate_allocations(evaluator.batch, evaluator.system),
-            backend,
-            self._max_evaluations,
-        )
+        found = best_enumerated(evaluator, backend, self._max_evaluations)
         if found is None:
             raise InfeasibleAllocationError("no feasible allocation exists")
         allocation, robustness, evaluations = found

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from ..errors import InfeasibleAllocationError
 from ..exec import ExecutionBackend
-from .allocation import enumerate_allocations
 from .base import RAHeuristic, RAResult
 from .exhaustive import MAX_EVALUATIONS, best_enumerated
 from .robustness import StageIEvaluator
@@ -61,13 +60,13 @@ class EqualShareAllocator(RAHeuristic):
                 shares.append(k)
             k >>= 1
         for s in shares:
-            try:
-                allocations = enumerate_allocations(batch, system, sizes_filter={s})
-            except InfeasibleAllocationError:
-                continue  # some application has no group of this size
-            # Every allocation here uses n_apps * s processors, so the
-            # exhaustive tie-break reduces to the first of the best phi_1.
-            found = best_enumerated(evaluator, allocations, backend, MAX_EVALUATIONS)
+            # None when no allocation exists at this share (some application
+            # has no group of size s, or they cannot all fit). Every
+            # allocation here uses n_apps * s processors, so the exhaustive
+            # tie-break reduces to the first of the best phi_1.
+            found = best_enumerated(
+                evaluator, backend, MAX_EVALUATIONS, sizes_filter={s}
+            )
             if found is not None:
                 allocation, robustness, evaluations = found
                 return RAResult(

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import AllocationError
-from .allocation import Allocation, enumerate_allocations
+from .allocation import Allocation, count_allocations, enumerate_allocations
 from .robustness import StageIEvaluator
 
 __all__ = ["ParetoPoint", "pareto_front"]
@@ -57,17 +57,17 @@ def pareto_front(
 
     Sorted by decreasing robustness. Intended for instances where
     enumeration is tractable (the same regime as the exhaustive allocator);
-    exceeding ``max_evaluations`` raises rather than silently truncating.
+    more than ``max_evaluations`` allocations raise, before any is scored,
+    rather than silently truncating.
     """
+    batch, system = evaluator.batch, evaluator.system
+    if count_allocations(batch, system, max_evaluations) > max_evaluations:
+        raise AllocationError(
+            f"Pareto enumeration exceeded {max_evaluations} allocations; "
+            "restrict the instance or raise max_evaluations"
+        )
     points: list[ParetoPoint] = []
-    count = 0
-    for allocation in enumerate_allocations(evaluator.batch, evaluator.system):
-        count += 1
-        if count > max_evaluations:
-            raise AllocationError(
-                f"Pareto enumeration exceeded {max_evaluations} allocations; "
-                "restrict the instance or raise max_evaluations"
-            )
+    for allocation in enumerate_allocations(batch, system):
         robustness = evaluator.robustness(allocation)
         expected = max(
             evaluator.app_expected_time(app, group)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.apps import Application, Batch, ExecutionTimeModel, normal_exectime_model
 from repro.contracts import check_allocation_feasible
+from repro.errors import InfeasibleAllocationError
 from repro.pmf import PMF, deterministic
 from repro.ra import (
     ExhaustiveAllocator,
@@ -23,6 +24,7 @@ from repro.ra import (
     SufferageAllocator,
     enumerate_allocations,
 )
+from repro.ra.allocation import count_allocations
 from repro.system import HeterogeneousSystem, ProcessorType
 
 HEURISTICS = [
@@ -113,6 +115,24 @@ def test_enumeration_yields_unique_feasible(instance):
             assert used <= system.type(tname).count
         for _, group in alloc.items():
             assert group.size & (group.size - 1) == 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    instances(),
+    st.sampled_from([None, {1}, {2}, {1, 4}, {8}]),
+    st.integers(0, 60),
+)
+def test_count_matches_enumeration(instance, sizes, limit):
+    system, batch, _ = instance
+    try:
+        enumerated = sum(
+            1 for _ in enumerate_allocations(batch, system, sizes_filter=sizes)
+        )
+    except InfeasibleAllocationError:
+        enumerated = 0  # an application has no group of these sizes
+    counted = count_allocations(batch, system, limit, sizes_filter=sizes)
+    assert counted == min(enumerated, limit + 1)
 
 
 def others_can_complete(remaining, needs):

@@ -92,15 +92,10 @@ def test_determinism(bundle):
     assert [c.size for c in a.chunks] == [c.size for c in b.chunks]
 
 
-@settings(max_examples=25, deadline=None)
-@given(
-    st.sampled_from(sorted(ALL_TECHNIQUES)),
-    st.integers(1, 500),
-    st.sampled_from([1, 2, 4]),
-    st.floats(0.1, 1.0),
-)
-def test_dedicated_lower_bound(technique, n_parallel, group_size, level):
-    """Wall-clock time is never below the dedicated-work lower bound."""
+def _dedicated_run(technique, n_parallel, group_size, level):
+    """One app of ``n_parallel`` identical iterations (1000 time units in
+    all, cv 0) on ``group_size`` workers at constant ``level``, no
+    overhead."""
     app = Application(
         "lb",
         0,
@@ -109,7 +104,7 @@ def test_dedicated_lower_bound(technique, n_parallel, group_size, level):
         iteration_cv=0.0,
     )
     system = HeterogeneousSystem([ProcessorType("t", 4)])
-    result = simulate_application(
+    return simulate_application(
         app,
         system.group("t", group_size),
         make_technique(technique),
@@ -117,6 +112,45 @@ def test_dedicated_lower_bound(technique, n_parallel, group_size, level):
         config=LoopSimConfig(overhead=0.0),
         availability=ConstantAvailability(level),
     )
+
+
+dedicated_runs = given(
+    st.sampled_from(sorted(ALL_TECHNIQUES)),
+    st.integers(1, 500),
+    st.sampled_from([1, 2, 4]),
+    st.floats(0.1, 1.0),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@dedicated_runs
+def test_dedicated_lower_bound(technique, n_parallel, group_size, level):
+    """Wall-clock time is never below the dedicated-work lower bound."""
+    result = _dedicated_run(technique, n_parallel, group_size, level)
     per_iter = 1000.0 / n_parallel
     lower_bound = n_parallel * per_iter / (group_size * level)
     assert result.makespan >= lower_bound - 1e-6
+
+
+@settings(max_examples=25, deadline=None)
+@dedicated_runs
+def test_dedicated_upper_bound(technique, n_parallel, group_size, level):
+    """No worker idles while iterations remain undispatched.
+
+    Each of the n iterations takes tau = 1000/n of dedicated time, so
+    tau/l of wall time at level l, on P workers with no overhead. Let t_d
+    be the time of the last dispatch. Until then iterations remain
+    undispatched, so no worker idles: the P*l*t_d/tau iterations done by
+    t_d are at most n, and t_d <= n*tau/(P*l). A chunk of c iterations
+    dispatched at t <= t_d ends by t_d + c*tau/l, so with c_max the
+    largest dispatched chunk
+
+        makespan <= n*tau/(P*l) + c_max*tau/l.
+
+    A worker left idle while work remains pushes the makespan past it.
+    """
+    result = _dedicated_run(technique, n_parallel, group_size, level)
+    per_iter = 1000.0 / n_parallel
+    c_max = max(chunk.size for chunk in result.chunks)
+    upper_bound = (n_parallel / group_size + c_max) * per_iter / level
+    assert result.makespan <= upper_bound * (1 + 1e-9)

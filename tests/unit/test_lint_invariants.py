@@ -657,9 +657,6 @@ class TestFramework:
             "EXEC101",
             "EXEC102",
             "RNG101",
-            "OBS101",
-            "OBS102",
-            "OBS103",
             "LNT001",
         } <= known_ids()
 
@@ -766,6 +763,16 @@ class TestCliFormats:
         run = run_cli("--select", "NOPE999", "src")
         assert run.returncode == 2
         assert "known ids" in run.stderr
+
+    def test_retired_schema_rules_are_unknown(self):
+        # OBS101-OBS103 gave way to tests/integration/test_obs_names.py.
+        listed = run_cli("--list-rules")
+        assert listed.returncode == 0
+        assert "OBS10" not in listed.stdout
+        run = run_cli("--select", "OBS101", "src")
+        assert run.returncode == 2
+        assert "known ids: " in run.stderr and "OBS002" in run.stderr
+        assert "OBS101" not in known_ids()
 
     def test_report_unused_skips_flag(self, tmp_path):
         stale = tmp_path / "repro" / "sim" / "stale.py"

@@ -11,6 +11,7 @@ from repro.ra import (
     enumerate_allocations,
     powers_of_two_upto,
 )
+from repro.ra.allocation import count_allocations
 from repro.system import ProcessorGroup
 
 
@@ -180,6 +181,17 @@ class TestEnumerate:
             enumerate_allocations(
                 paper_like_batch, paper_like_system, sizes_filter={16}
             )
+
+
+class TestCount:
+    # tests/property/test_prop_ra.py::test_count_matches_enumeration
+    # compares the count with the enumeration on random instances.
+    @pytest.mark.parametrize("limit, counted", [(0, 1), (10, 11), (152, 153), (153, 153)])
+    def test_capped_one_past_the_limit(
+        self, paper_like_system, paper_like_batch, limit, counted
+    ):
+        # The paper instance has 153 allocations.
+        assert count_allocations(paper_like_batch, paper_like_system, limit) == counted
 
 
 class TestSearchSpace:

@@ -20,6 +20,7 @@ from repro.paper import paper_batch, paper_system
 from repro.pmf import PMF
 from repro.ra import (
     AnnealingAllocator,
+    EqualShareAllocator,
     ExhaustiveAllocator,
     GeneticAllocator,
     GreedyRobustAllocator,
@@ -191,16 +192,22 @@ class TestEdgeCases:
         assert not isinstance(err.value, InfeasibleAllocationError)
 
 
-def test_beats_every_search_on_a_24x6_instance():
-    # 24 applications on 6 types of 16-32 processors (792 candidate
-    # groups), where enumeration is out of reach: the optimum is proved
-    # at phi_1 = 0.654, while the five searches of the benchmark's
-    # stage-I workload reach at most about half of it.
+def evaluator_24x6():
+    """24 applications on 6 types of 16-32 processors (792 candidate
+    groups), the benchmark's stage-I instance, at its calibrated deadline."""
     spec = WorkloadSpec(
         n_apps=24, n_types=6, procs_per_type=(16, 32), cv=0.5, availability_levels=4
     )
     system, batch = random_instance(spec, np.random.default_rng(2012))
-    evaluator = StageIEvaluator(batch, system, 2737.7)
+    return StageIEvaluator(batch, system, 2737.7)
+
+
+def test_beats_every_search_on_a_24x6_instance():
+    # Enumeration is out of reach here: the optimum is proved at
+    # phi_1 = 0.654, while the five searches of the benchmark's stage-I
+    # workload reach at most about half of it.
+    evaluator = evaluator_24x6()
+    system, batch = evaluator.system, evaluator.batch
     result = MILPAllocator().allocate(evaluator)
     check_allocation_feasible(result.allocation, system, batch)
     assert result.evaluations == 792
@@ -215,3 +222,20 @@ def test_beats_every_search_on_a_24x6_instance():
     for search in searches:
         found = search.allocate(evaluator)
         assert found.robustness <= result.robustness, search.name
+
+
+@pytest.mark.parametrize("allocator", [EqualShareAllocator, ExhaustiveAllocator])
+def test_enumerations_fail_before_scoring_on_the_24x6_instance(allocator):
+    # Naive's share-4 space and exhaustive's whole space each hold more
+    # than 2M allocations; both are counted, not scored, before raising.
+    evaluator = evaluator_24x6()
+    with pytest.raises(
+        InfeasibleAllocationError,
+        match=r"^enumeration exceeded 2000000 allocations; use a scalable "
+        r"heuristic \(greedy, min-min, annealing, genetic\) for instances "
+        r"of this size$",
+    ):
+        allocator().allocate(evaluator)
+    assert evaluator.cache_info() == dict.fromkeys(
+        ("pmf_hits", "pmf_misses", "prob_hits", "prob_misses"), 0
+    )

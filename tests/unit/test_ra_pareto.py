@@ -74,9 +74,14 @@ class TestParetoFront:
         min_procs = min(p.processors for p in front)
         assert min_procs < max_procs
 
-    def test_budget_guard(self, evaluator):
-        with pytest.raises(AllocationError):
-            pareto_front(evaluator, max_evaluations=5)
+    def test_budget_guard(self):
+        from repro.paper import data, paper_batch, paper_system
+
+        # The paper instance has 153 allocations; none is scored.
+        fresh = StageIEvaluator(paper_batch(), paper_system("case1"), data.DEADLINE)
+        with pytest.raises(AllocationError, match="exceeded 5 allocations"):
+            pareto_front(fresh, max_evaluations=5)
+        assert fresh.cache_info()["prob_misses"] == 0
 
 
 class TestDomination:
