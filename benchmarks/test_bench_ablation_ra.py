@@ -53,12 +53,22 @@ def synthetic_evaluator():
         parallel_iterations_range=(256, 2048),
     )
     system, batch = random_instance(spec, 1234)
-    # A deadline that separates good from bad mappings: 1.3x the greedy
-    # allocation's worst expected completion time.
+    # A deadline that separates good from bad mappings. At 1.3x the greedy
+    # allocation's worst expected completion time every allocator reaches
+    # phi_1 ~ 1, so move the deadline to the median system makespan of the
+    # optimum there, Delta <- min_deadline(optimum, 0.5), until it repeats.
+    # Exhaustive search breaks ties by enumeration order, so the steps
+    # through saturated deadlines do not rest on a solver's pick.
     probe = StageIEvaluator(batch, system, 1e12)
     alloc = GreedyRobustAllocator().allocate(probe).allocation
-    worst = max(probe.report(alloc).expected_times.values())
-    return StageIEvaluator(batch, system, 1.3 * worst)
+    deadline = 1.3 * max(probe.report(alloc).expected_times.values())
+    tried = set()
+    while deadline not in tried:
+        tried.add(deadline)
+        evaluator = StageIEvaluator(batch, system, deadline)
+        optimum = ExhaustiveAllocator().allocate(evaluator).allocation
+        deadline = evaluator.min_deadline(optimum, 0.5)
+    return StageIEvaluator(batch, system, deadline)
 
 
 @pytest.mark.parametrize("heuristic", HEURISTICS, ids=lambda h: h.name)
@@ -108,3 +118,8 @@ def test_bench_ra_ablation_summary(benchmark, emit, paper_evaluator, synthetic_e
     assert by_key[("paper", "naive-equal-share")] < 30.0
     for name in ("greedy-robust", "simulated-annealing", "genetic"):
         assert by_key[("paper", name)] > 70.0, name
+    # The calibrated synthetic deadline leaves the optimum unsaturated and
+    # unique, so the MILP lands on exhaustive's answer exactly.
+    best = by_key[("synthetic-5x3", "exhaustive-optimal")]
+    assert 5.0 < best < 95.0
+    assert by_key[("synthetic-5x3", "milp-optimal")] == best

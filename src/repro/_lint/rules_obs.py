@@ -9,8 +9,8 @@ exempt package (it *implements* both paths):
 * ``OBS001`` — no bare ``print()`` calls outside ``repro/obs/``;
 * ``OBS002`` — no direct wall-clock reads (``time.time``,
   ``time.perf_counter``, ``time.monotonic``, ``time.process_time`` and
-  their ``_ns`` variants — called or imported from ``time``) outside
-  ``repro/obs/``.
+  their ``_ns`` variants — called under any import alias, or imported
+  from ``time``) outside ``repro/obs/``.
 """
 
 from __future__ import annotations
@@ -84,12 +84,12 @@ class WallClockRule(Rule):
             return
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Call):
-                name = dotted_name(node.func)
-                if (
-                    name is not None
-                    and name.startswith("time.")
-                    and name.split(".", 1)[1] in _CLOCK_NAMES
-                ):
+                raw = dotted_name(node.func)
+                if raw is None:
+                    continue
+                name = module.resolve(raw)  # `import time as t` → time.*
+                head, _, attr = name.partition(".")
+                if head == "time" and attr in _CLOCK_NAMES:
                     yield module.finding(
                         node,
                         self.id,

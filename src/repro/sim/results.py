@@ -6,7 +6,6 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtrit
 
 __all__ = [
     "finish_time_cv",
@@ -171,6 +170,9 @@ class ReplicatedAppStats:
         sem = float(arr.std(ddof=1)) / np.sqrt(n)
         if sem <= 0.0:
             return (mean, mean)
+        # Imported here: only reporting reaches it, and run paths skip SciPy.
+        from scipy.special import stdtrit
+
         t = float(stdtrit(n - 1, 0.5 + confidence / 2.0))  # Student-t quantile
         return (mean - t * sem, mean + t * sem)
 

@@ -87,17 +87,38 @@ class TestPackageSurface:
         for cls in list(ALL_TECHNIQUES.values()) + list(HEURISTICS.values()):
             assert cls.__doc__ and cls.__doc__.strip(), cls
 
-    def test_subpackages_leave_scipy_stats_unloaded(self):
-        # Importing scipy.stats costs most of a cold start (~0.6-0.9 s);
-        # the normal CDF and the t quantile come from scipy.special. A
-        # fresh interpreter, since this one may have loaded it already.
+    def test_run_paths_leave_scipy_unloaded(self):
+        # Importing scipy.special alone loads ~270 modules into every
+        # process. The normal CDF is repro.pmf's own, so importing repro
+        # and running both stages must not load any of SciPy; only the
+        # t quantile behind confidence intervals and the MILP (below) do.
+        # A fresh interpreter, since this one may have loaded SciPy already.
         code = (
-            "import sys\n"
-            "import repro.pmf, repro.ra, repro.sim, repro.framework, repro.paper\n"
-            "sys.exit('scipy.stats' in sys.modules)\n"
+            "import importlib, pkgutil, sys\n"
+            "import repro\n"
+            "for mod in pkgutil.iter_modules(repro.__path__):\n"
+            "    if not mod.name.startswith('_'):\n"
+            "        importlib.import_module(f'repro.{mod.name}')\n"
+            "from repro.apps import WorkloadSpec, random_instance\n"
+            "from repro.exec import SerialBackend\n"
+            "from repro.framework import Scenario, run_scenario\n"
+            "from repro.paper import paper_cases, paper_cdsf\n"
+            "from repro.ra import GreedyRobustAllocator, StageIEvaluator\n"
+            "from repro.sim import ReplicatedAppStats\n"
+            "run_scenario(Scenario.ROBUST_IM_ROBUST_RAS,\n"
+            "             paper_cdsf(replications=1), paper_cases(),\n"
+            "             backend=SerialBackend())\n"
+            "system, batch = random_instance(WorkloadSpec(n_apps=4, n_types=2), 7)\n"
+            "GreedyRobustAllocator().allocate(StageIEvaluator(batch, system, 1e4))\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert not loaded, f'a run path loaded {loaded[:5]}'\n"
+            "ReplicatedAppStats('a', 'SS', (1.0, 2.0, 4.0)).mean_ci()\n"
+            "assert 'scipy.special' in sys.modules, 'mean_ci did not load it'\n"
         )
-        run = subprocess.run([sys.executable, "-c", code], timeout=120)
-        assert run.returncode == 0, "importing repro loaded scipy.stats"
+        run = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
+        )
+        assert run.returncode == 0, run.stderr
 
     def test_only_the_milp_loads_scipy_optimize(self):
         # scipy.optimize costs ~0.2-0.8 s to import; importing repro and

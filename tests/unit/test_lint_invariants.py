@@ -508,6 +508,21 @@ class TestWallClock:
         assert rule_ids(findings) == ["OBS002"]
         assert findings[0].line == 3
 
+    def test_flags_aliased_time_module(self):
+        # Call names resolve through the module's imports, as RNG101's do.
+        findings = lint_sources(
+            {
+                "sim/foo.py": (
+                    "import time as t\n"
+                    "def stamp():\n"
+                    "    return t.perf_counter()\n"
+                )
+            },
+            select=["OBS002"],
+        )
+        assert rule_ids(findings) == ["OBS002"]
+        assert findings[0].line == 3
+
     def test_flags_perf_counter_import(self):
         findings = lint_sources(
             {"framework/foo.py": "from time import perf_counter\n"},

@@ -1,6 +1,7 @@
 """Unit tests for PMF constructors (repro.pmf.constructors)."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from repro.pmf import (
     sampled_normal,
     uniform_support,
 )
+from repro.pmf.constructors import _ndtr
 
 
 class TestSimpleConstructors:
@@ -115,6 +117,14 @@ class TestDiscretizedNormal:
         with pytest.raises(PMFError):
             discretized_normal(-100.0, 1.0, clip_at_zero=True)
 
+    @pytest.mark.parametrize("clip", [True, False])
+    @pytest.mark.parametrize("n_sigma", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_n_sigma_named(self, n_sigma, clip):
+        # These used to blame the mean ("no mass above zero"), the
+        # probabilities or the support, or warn before failing.
+        with pytest.raises(PMFError, match="^n_sigma must be finite and positive"):
+            discretized_normal(100.0, 10.0, n_sigma=n_sigma, clip_at_zero=clip)
+
     @pytest.mark.parametrize(
         "mean, std, n_points, clip",
         [
@@ -149,6 +159,77 @@ class TestDiscretizedNormal:
         # check a textbook value: Pr(X <= mu) = 0.5.
         pmf = discretized_normal(8000.0, 800.0)
         assert pmf.prob_leq(8000.0) == pytest.approx(0.5, abs=5e-3)
+
+
+class TestNormalCdf:
+    """``_ndtr`` must return ``scipy.special.ndtr``'s bits exactly."""
+
+    # Cephes switches formula at |z| = 1 (erf to erfc), sqrt(2) (erfc by
+    # 1 - erf to the P/Q fraction), 8 sqrt(2) (P/Q to R/S) and where
+    # exp(-z^2/2) underflows, z^2/2 = log(DBL_MAX) (z ~ 37.68).
+    EDGES = (
+        1.0,
+        math.sqrt(2.0),
+        8.0 * math.sqrt(2.0),
+        math.sqrt(2.0 * math.log(sys.float_info.max)),
+    )
+
+    @staticmethod
+    def assert_scipy_bits(z):
+        from scipy.special import ndtr
+
+        ours, ref = _ndtr(z), ndtr(z)
+        differ = ours.view(np.int64) != ref.view(np.int64)
+        assert not differ.any(), f"{differ.sum()} differ, first at {z[differ][:3]}"
+
+    def test_equals_scipy_on_dense_and_random_points(self):
+        rng = np.random.default_rng(2012)
+        z = np.concatenate(
+            (
+                np.linspace(-40.0, 40.0, 400_001),
+                rng.normal(0.0, 3.0, 500_000),
+                rng.uniform(-40.0, 40.0, 100_000),
+            )
+        )
+        self.assert_scipy_bits(z)
+
+    def test_equals_scipy_around_branch_edges(self):
+        z = []
+        for edge in self.EDGES:
+            up = down = edge
+            z.append(edge)
+            for _ in range(64):
+                up, down = math.nextafter(up, math.inf), math.nextafter(down, 0.0)
+                z += [up, down]
+        z = np.array(z)
+        self.assert_scipy_bits(np.concatenate((z, -z, [0.0, -0.0])))
+        # The neighbourhood of the last edge does straddle the underflow.
+        tail = _ndtr(-z[-129:])
+        assert (tail == 0.0).any() and (tail > 0.0).any()
+
+    @pytest.mark.parametrize(
+        "z, bits",
+        [
+            (-40.0, "0x0.0p+0"),
+            (-37.6, "0x0.0c5daf5e2618cp-1022"),
+            (-20.0, "0x1.c0bd0f18806a3p-295"),
+            (-12.0, "0x1.272b3136661edp-109"),
+            (-8.0, "0x1.669d2c90d55a2p-51"),
+            (-3.0, "0x1.61de1f985b5d1p-10"),
+            (-1.5, "0x1.11a46d89647efp-4"),
+            (-1.0, "0x1.44ed0bb7cb20cp-3"),
+            (-0.5, "0x1.3bf143b9aa712p-2"),
+            (-0.0, "0x1.0000000000000p-1"),
+            (0.5, "0x1.62075e232ac77p-1"),
+            (1.0, "0x1.aec4bd120d37dp-1"),
+            (3.0, "0x1.ff4f10f033d25p-1"),
+            (12.0, "0x1.0000000000000p+0"),
+        ],
+    )
+    def test_pinned_values(self, z, bits):
+        # One value per Cephes branch, so the bits rest on more than the
+        # installed SciPy.
+        assert float(_ndtr(np.array([z]))[0]).hex() == bits
 
 
 class TestSampledNormal:
