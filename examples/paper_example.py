@@ -12,8 +12,9 @@ and shape assertions; this script is the human-readable tour.)
 
 import argparse
 
-from repro.framework import Scenario, run_scenario
+from repro.framework import CDSFResult, Scenario, run_scenario
 from repro.paper import (
+    compute_allocations,
     data,
     paper_cases,
     paper_cdsf,
@@ -41,10 +42,11 @@ def show_table_i() -> None:
 
 
 def show_stage_one() -> None:
+    evaluator, allocations = compute_allocations()
     print(
         render_table(
             ["RA policy", "application", "type", "# processors"],
-            table_iv_rows(),
+            table_iv_rows(allocations),
             title="Table IV: naive vs robust initial mapping",
         )
     )
@@ -54,13 +56,13 @@ def show_stage_one() -> None:
             ["RA policy", "application", "T^exp (measured)", "T^exp (paper)"],
             [
                 (policy, app, t, data.TABLE_V[policy][app])
-                for policy, app, t in table_v_rows()
+                for policy, app, t in table_v_rows(evaluator, allocations)
             ],
             title="Table V: expected completion times",
         )
     )
     print()
-    values = phi1_values()
+    values = phi1_values(evaluator, allocations)
     print(
         render_table(
             ["RA policy", "phi_1 % (measured)", "phi_1 % (paper)"],
@@ -71,7 +73,7 @@ def show_stage_one() -> None:
     print()
 
 
-def show_scenario(scenario: Scenario, label: str, replications: int) -> None:
+def show_scenario(scenario: Scenario, label: str, replications: int) -> CDSFResult:
     result = run_scenario(
         scenario, paper_cdsf(replications=replications), paper_cases()
     )
@@ -104,6 +106,7 @@ def show_scenario(scenario: Scenario, label: str, replications: int) -> None:
         f"{result.robustness.rho2:.2f}%)"
     )
     print()
+    return result
 
 
 def main() -> None:
@@ -126,12 +129,7 @@ def main() -> None:
         args.replications,
     )
 
-    result = run_scenario(
-        Scenario.ROBUST_IM_ROBUST_RAS,
-        paper_cdsf(replications=args.replications),
-        paper_cases(),
-    )
-    show_scenario(
+    result = show_scenario(
         Scenario.ROBUST_IM_ROBUST_RAS,
         "Figure 6 / scenario 4: robust IM + robust DLS (the CDSF)",
         args.replications,

@@ -2,17 +2,18 @@
 
 The CDSF reproduction rests on a handful of invariants that ordinary
 linters cannot express: all randomness flows through :mod:`repro.rng`,
-:class:`~repro.pmf.PMF` instances are immutable, every concrete technique /
-heuristic is reachable through its registry, time/probability values
-are never compared with ``==``, and pool payloads pickle. This package
-machine-checks them. (Trace names are checked at runtime instead:
-``tests/integration/test_obs_names.py`` holds every emitter to the list
-in ``docs/observability.md``.)
+:class:`~repro.pmf.PMF` instances are immutable, time/probability values
+are never compared with ``==``, stdout and clock reads go through
+:mod:`repro.obs`, and pool payloads pickle. This package machine-checks them.
 
 Every rule reads one module at a time and resolves names through that
-module's own import statements (:meth:`~repro._lint.core.Module.resolve`);
-only registry completeness (REG001/REG002) compares modules with each
-other. There is no call graph.
+module's own import statements (:meth:`~repro._lint.core.Module.resolve`).
+There is no project pass, no call graph and no inline suppression.
+Facts about the running package are checked at runtime instead:
+``tests/unit/test_errors_and_exports.py`` holds every public module's
+``__all__`` and the technique/heuristic registries to what ``import``
+sees, and ``tests/integration/test_obs_names.py`` holds every trace
+emitter to the list in ``docs/observability.md``.
 
 Entry points
 ------------
@@ -41,9 +42,7 @@ from .core import (
 # Importing the rule modules populates the registry (side-effect imports).
 from . import rules_rng  # noqa: F401  (registers RNG001-RNG003, RNG101)
 from . import rules_pmf  # noqa: F401  (registers PMF001)
-from . import rules_registry  # noqa: F401  (registers REG001-REG002)
 from . import rules_floats  # noqa: F401  (registers FLT001)
-from . import rules_exports  # noqa: F401  (registers ALL001-ALL003)
 from . import rules_obs  # noqa: F401  (registers OBS001-OBS002)
 from . import rules_exec  # noqa: F401  (registers EXEC001, EXEC101-EXEC102)
 

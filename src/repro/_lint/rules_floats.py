@@ -10,8 +10,8 @@ guards should use an ordering (``<= 0.0``) or a tolerance.
 
 The rule is deliberately syntactic (it does not try to infer float-ness
 of variables); comparisons between two non-literal expressions are out of
-scope. Genuinely intentional exact comparisons can carry a
-``lint: skip=FLT001`` hash-comment pragma.
+scope. No comment silences it: an intentional exact comparison is written
+as an ordering or against a non-literal name.
 """
 
 from __future__ import annotations

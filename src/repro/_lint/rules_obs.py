@@ -10,7 +10,8 @@ exempt package (it *implements* both paths):
 * ``OBS002`` — no direct wall-clock reads (``time.time``,
   ``time.perf_counter``, ``time.monotonic``, ``time.process_time`` and
   their ``_ns`` variants — called under any import alias, or imported
-  from ``time``) outside ``repro/obs/``.
+  from ``time``) outside ``repro/obs/``. This is the one rule on ``time``
+  clocks; RNG101 leaves them to it.
 """
 
 from __future__ import annotations

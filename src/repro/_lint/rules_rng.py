@@ -12,11 +12,11 @@ draw to flow through the seeded streams in :mod:`repro.rng`
   the :mod:`repro.rng` helpers must expose an ``rng``/``seed`` parameter,
   so callers control the stream;
 * ``RNG101`` — no call to a nondeterminism source (stdlib ``random``,
-  ``secrets``, ``uuid.uuid1/uuid4``, ``os.urandom``/``os.getrandom``,
-  the ``datetime.now`` family, or a ``time`` clock) outside the seeding
-  modules and ``repro/obs/``, whose wall-clock reads are its job. Names
-  resolve through the module's imports, so ``from os import urandom as
-  u; u(8)`` is ``os.urandom``.
+  ``secrets``, ``uuid.uuid1/uuid4``, ``os.urandom``/``os.getrandom`` or
+  the ``datetime.now`` family) outside the seeding modules. Names
+  resolve through the module's imports, so
+  ``from os import urandom as u; u(8)`` is ``os.urandom``. The ``time``
+  clocks are OBS002's: one clock read is one finding.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import re
 from collections.abc import Iterator
 
 from .core import Finding, Module, Rule, dotted_name, register
-from .rules_obs import _CLOCK_NAMES, _in_obs
 
 __all__ = [
     "NondeterminismSourceRule",
@@ -51,8 +50,7 @@ _RNG_HELPERS = frozenset({"make_rng", "ensure_rng", "spawn_rngs", "rng_stream"})
 _SEED_PARAM_RE = re.compile(r"^(rng|rngs|seed|seeds)$|_(rng|seed)$")
 
 #: Nondeterminism sources called by their full name (RNG101); besides
-#: these, every ``random.*`` and ``secrets.*`` call and the ``time``
-#: clocks.
+#: these, every ``random.*`` and ``secrets.*`` call.
 _EXACT_SINKS = frozenset(
     {
         "os.urandom",
@@ -187,17 +185,13 @@ class SeedPathRule(Rule):
 def _is_sink(name: str) -> bool:
     """Is the resolved callee ``name`` a nondeterminism source?"""
     module, _, attr = name.partition(".")
-    return (
-        name in _EXACT_SINKS
-        or (module in ("random", "secrets") and bool(attr))
-        or (module == "time" and attr in _CLOCK_NAMES)
-    )
+    return name in _EXACT_SINKS or (module in ("random", "secrets") and bool(attr))
 
 
 @register
 class NondeterminismSourceRule(Rule):
     id = "RNG101"
-    title = "no OS entropy, wall clock or stdlib random outside seeding and obs"
+    title = "no OS entropy, datetime.now or stdlib random outside seeding"
     rationale = (
         "a wall-clock or OS-entropy read in any helper breaks bit-for-bit "
         "replay of simulations even when every generator passes the "
@@ -206,7 +200,7 @@ class NondeterminismSourceRule(Rule):
     )
 
     def check_module(self, module: Module) -> Iterator[Finding]:
-        if module.pkgpath in _RNG_EXEMPT or _in_obs(module):
+        if module.pkgpath in _RNG_EXEMPT:
             return
         for qualname, _, nodes in module.scopes:
             for node in nodes:

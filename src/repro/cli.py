@@ -37,7 +37,7 @@ import json
 import math
 import os
 import sys
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from pathlib import Path
 
 from .dls import ALL_TECHNIQUES
@@ -64,6 +64,7 @@ from .obs import (
     write_chrome_trace,
 )
 from .paper import (
+    compute_allocations,
     data,
     figure_series,
     paper_cases,
@@ -241,19 +242,22 @@ def _cmd_tables() -> int:
             title="Table I",
         )
     )
+    evaluator, allocations = compute_allocations()
     _print(
         render_table(
             ["RA", "app", "type", "# procs"],
-            table_iv_rows(),
+            table_iv_rows(allocations),
             title="Table IV",
         )
     )
     _print(
         render_table(
-            ["RA", "app", "T^exp"], table_v_rows(), title="Table V"
+            ["RA", "app", "T^exp"],
+            table_v_rows(evaluator, allocations),
+            title="Table V",
         )
     )
-    values = phi1_values()
+    values = phi1_values(evaluator, allocations)
     _print(
         render_table(
             ["RA", "phi1 % (measured)", "phi1 % (paper)"],
@@ -294,6 +298,31 @@ def _record_result(name: str, payload: dict) -> None:
         recorder.record_result(name, payload)
 
 
+#: One :meth:`~repro.framework.StudyResult.cells` row.
+_Cell = tuple[str, str, str, float, bool]
+
+
+def _cell_payload(cells: Iterable[_Cell]) -> list[dict]:
+    """The run-store form of study cells."""
+    return [
+        {"case": case, "app": app, "technique": tech, "time": t, "meets_deadline": ok}
+        for case, app, tech, t, ok in cells
+    ]
+
+
+def _print_cells(cells: Iterable[_Cell], title: str) -> None:
+    _print(
+        render_table(
+            ["case", "app", "technique", "time", "meets deadline"],
+            [
+                (case, app, tech, t, "yes" if ok else "NO")
+                for case, app, tech, t, ok in cells
+            ],
+            title=title,
+        )
+    )
+
+
 def _cmd_figure(args, backend: ExecutionBackend) -> int:
     series = figure_series(args.name, backend=backend, **_sim_kwargs(args))
     _record_result(
@@ -304,16 +333,7 @@ def _cmd_figure(args, backend: ExecutionBackend) -> int:
             "scenario_name": series.scenario.name,
             "deadline": series.deadline,
             "robustness": series.result.robustness.as_dict(),
-            "cells": [
-                {
-                    "case": case,
-                    "app": app,
-                    "technique": tech,
-                    "time": t,
-                    "meets_deadline": bool(ok),
-                }
-                for case, app, tech, t, ok in series.rows
-            ],
+            "cells": _cell_payload(series.rows),
         },
     )
     if args.chart:
@@ -336,16 +356,9 @@ def _cmd_figure(args, backend: ExecutionBackend) -> int:
             )
         )
         return 0
-    rows = [
-        (case, app, tech, t, "yes" if ok else "NO")
-        for case, app, tech, t, ok in series.rows
-    ]
-    _print(
-        render_table(
-            ["case", "app", "technique", "time", "meets deadline"],
-            rows,
-            title=f"{args.name} ({series.scenario.name}), Delta = {series.deadline:g}",
-        )
+    _print_cells(
+        series.rows,
+        title=f"{args.name} ({series.scenario.name}), Delta = {series.deadline:g}",
     )
     return 0
 
@@ -358,47 +371,20 @@ def _cmd_scenario(args, backend: ExecutionBackend) -> int:
         backend=backend,
     )
     study = result.stage_ii
-    cells = []
-    for case in study.case_ids:
-        for app in study.app_names:
-            for tech in study.technique_names:
-                t = study.time(case, tech, app)
-                cells.append(
-                    {
-                        "case": case,
-                        "app": app,
-                        "technique": tech,
-                        "time": t,
-                        "meets_deadline": t <= data.DEADLINE,
-                    }
-                )
     _record_result(
         "scenario",
         {
             "kind": "scenario",
             "scenario": args.number,
             "scenario_name": _SCENARIOS[args.number].name,
-            "deadline": data.DEADLINE,
+            "deadline": study.config.deadline,
             "robustness": result.robustness.as_dict(),
-            "cells": cells,
+            "cells": _cell_payload(study.cells()),
         },
     )
-    rows = [
-        (
-            c["case"],
-            c["app"],
-            c["technique"],
-            c["time"],
-            "yes" if c["meets_deadline"] else "NO",
-        )
-        for c in cells
-    ]
-    _print(
-        render_table(
-            ["case", "app", "technique", "time", "meets deadline"],
-            rows,
-            title=f"Scenario {args.number}: {_SCENARIOS[args.number].name}",
-        )
+    _print_cells(
+        study.cells(),
+        title=f"Scenario {args.number}: {_SCENARIOS[args.number].name}",
     )
     console(
         f"(rho1, rho2) = ({result.robustness.rho1:.1%}, "
@@ -426,18 +412,7 @@ def _cmd_robustness(args, backend: ExecutionBackend) -> int:
             }
             for app in study.app_names
         },
-        "cells": [
-            {
-                "case": case,
-                "app": app,
-                "technique": tech,
-                "time": study.time(case, tech, app),
-                "meets_deadline": study.meets_deadline(case, tech, app),
-            }
-            for case in study.case_ids
-            for app in study.app_names
-            for tech in study.technique_names
-        ],
+        "cells": _cell_payload(study.cells()),
     }
     _print(
         render_table(

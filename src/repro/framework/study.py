@@ -15,7 +15,7 @@ aggregates replication makespans. From the resulting grid it derives:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from typing import Any
 
 import numpy as np
@@ -121,6 +121,15 @@ class StudyResult:
 
     def meets_deadline(self, case: str, technique: str, app: str) -> bool:
         return self.time(case, technique, app) <= self.config.deadline
+
+    def cells(self) -> Iterator[tuple[str, str, str, float, bool]]:
+        """Every cell as ``(case, app, technique, time, meets deadline)``,
+        in ``case_ids`` x ``app_names`` x ``technique_names`` order."""
+        for case in self.case_ids:
+            for app in self.app_names:
+                for tech in self.technique_names:
+                    t = self.time(case, tech, app)
+                    yield case, app, tech, t, t <= self.config.deadline
 
     def best_technique(self, case: str, app: str) -> str | None:
         """Fastest technique meeting the deadline, or None (Table VI cell)."""

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from ..exec import ExecutionBackend
 from ..framework import CDSFResult, Scenario, run_scenario
 from ..sim import LoopSimConfig
-from . import data
 from .example import paper_cases, paper_cdsf
 
 __all__ = ["FigureSeries", "figure_series", "FIGURE_SCENARIOS"]
@@ -98,18 +97,11 @@ def figure_series(
     cdsf = paper_cdsf(**kwargs)
     cases = paper_cases()
     result = run_scenario(scenario, cdsf, cases, backend=backend)
-    study = result.stage_ii
-    rows = []
-    for case in study.case_ids:
-        for app in study.app_names:
-            for tech in study.technique_names:
-                t = study.time(case, tech, app)
-                rows.append((case, app, tech, t, t <= data.DEADLINE))
     return FigureSeries(
         figure=figure,
         scenario=scenario,
-        deadline=data.DEADLINE,
+        deadline=result.stage_ii.config.deadline,
         expected_times=dict(result.stage_i_report.expected_times),
-        rows=tuple(rows),
+        rows=tuple(result.stage_ii.cells()),
         result=result,
     )

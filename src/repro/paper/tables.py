@@ -3,7 +3,8 @@
 Each ``table_*`` function recomputes the corresponding artifact from the
 model (never from the recorded ground truth) and returns plain rows, so the
 benchmark harness can print them and the regression tests can compare them
-to :mod:`repro.paper.data`.
+to :mod:`repro.paper.data`. Tables IV and V take the result of one
+:func:`compute_allocations` call, so the stage-I searches run once.
 """
 
 from __future__ import annotations
@@ -61,11 +62,9 @@ def compute_allocations() -> tuple[StageIEvaluator, dict[str, Allocation]]:
 
 
 def table_iv_rows(
-    allocations: dict[str, Allocation] | None = None,
+    allocations: dict[str, Allocation],
 ) -> list[tuple[str, str, str, int]]:
     """Table IV rows: ``(RA policy, application, processor type, count)``."""
-    if allocations is None:
-        _, allocations = compute_allocations()
     rows = []
     for policy in ("naive", "robust"):
         for app_name, ptype_name, size in sorted(
@@ -76,12 +75,10 @@ def table_iv_rows(
 
 
 def table_v_rows(
-    evaluator: StageIEvaluator | None = None,
-    allocations: dict[str, Allocation] | None = None,
+    evaluator: StageIEvaluator,
+    allocations: dict[str, Allocation],
 ) -> list[tuple[str, str, float]]:
     """Table V rows: ``(RA policy, application, expected completion time)``."""
-    if evaluator is None or allocations is None:
-        evaluator, allocations = compute_allocations()
     rows = []
     for policy in ("naive", "robust"):
         report = evaluator.report(allocations[policy])

@@ -21,6 +21,12 @@ from repro.paper import (
 )
 
 
+@pytest.fixture(scope="module")
+def stage_i():
+    """One run of the naive and exhaustive searches for the whole module."""
+    return compute_allocations()
+
+
 class TestTableI:
     def test_expected_availabilities(self):
         for case, per_type in data.EXPECTED_AVAILABILITY.items():
@@ -91,8 +97,9 @@ class TestTableIIIAndPMFs:
 
 
 class TestTableIV:
-    def test_allocations_match_paper(self):
-        rows = table_iv_rows()
+    def test_allocations_match_paper(self, stage_i):
+        _, allocations = stage_i
+        rows = table_iv_rows(allocations)
         expected = []
         for policy in ("naive", "robust"):
             for app, (t, n) in sorted(data.TABLE_IV[policy].items()):
@@ -101,8 +108,8 @@ class TestTableIV:
 
 
 class TestTableV:
-    def test_expected_times_match_paper(self):
-        rows = table_v_rows()
+    def test_expected_times_match_paper(self, stage_i):
+        rows = table_v_rows(*stage_i)
         lookup = {(policy, app): t for policy, app, t in rows}
         for policy, per_app in data.TABLE_V.items():
             for app, expected in per_app.items():
@@ -114,19 +121,19 @@ class TestTableV:
 
 
 class TestPhi1:
-    def test_values_match_paper(self):
-        values = phi1_values()
+    def test_values_match_paper(self, stage_i):
+        values = phi1_values(*stage_i)
         assert values["naive"] == pytest.approx(data.PHI1["naive"], abs=0.5)
         assert values["robust"] == pytest.approx(data.PHI1["robust"], abs=0.5)
 
-    def test_robust_dominates_naive(self):
-        values = phi1_values()
+    def test_robust_dominates_naive(self, stage_i):
+        values = phi1_values(*stage_i)
         assert values["robust"] > values["naive"]
 
 
 class TestConsistency:
-    def test_compute_allocations_idempotent(self):
-        _, first = compute_allocations()
+    def test_compute_allocations_idempotent(self, stage_i):
+        _, first = stage_i
         _, second = compute_allocations()
         assert first["naive"] == second["naive"]
         assert first["robust"] == second["robust"]

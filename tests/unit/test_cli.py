@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.ra import ExhaustiveAllocator
 
 
 class TestParser:
@@ -43,13 +44,23 @@ class TestParser:
 
 
 class TestCommands:
-    def test_tables(self, capsys):
+    def test_tables(self, capsys, monkeypatch):
+        # Tables IV and V and phi_1 share one stage-I search.
+        calls = []
+        allocate = ExhaustiveAllocator.allocate
+
+        def counted(self, *args, **kwargs):
+            calls.append(self)
+            return allocate(self, *args, **kwargs)
+
+        monkeypatch.setattr(ExhaustiveAllocator, "allocate", counted)
         assert main(["tables"]) == 0
         out = capsys.readouterr().out
         assert "Table I" in out
         assert "Table IV" in out
         assert "Table V" in out
         assert "74.5" in out  # paper phi_1
+        assert len(calls) == 1
 
     def test_techniques(self, capsys):
         assert main(["techniques"]) == 0

@@ -1,12 +1,15 @@
 """Unit tests of the exception hierarchy and the public package surface."""
 
 import importlib
+import inspect
+import pkgutil
 import subprocess
 import sys
 
 import pytest
 
 import repro
+from repro.dls import ALL_TECHNIQUES, DLSTechnique
 from repro.errors import (
     AllocationError,
     InfeasibleAllocationError,
@@ -17,6 +20,14 @@ from repro.errors import (
     SchedulingError,
     SimulationError,
 )
+from repro.ra import HEURISTICS, RAHeuristic
+
+#: ``repro`` and every module under it with no ``_``-prefixed dotted part.
+PUBLIC_MODULES = ["repro"] + [
+    info.name
+    for info in pkgutil.walk_packages(repro.__path__, "repro.")
+    if not any(part.startswith("_") for part in info.name.split("."))
+]
 
 
 class TestHierarchy:
@@ -44,46 +55,51 @@ class TestPackageSurface:
     def test_version(self):
         assert repro.__version__ == "1.0.0"
 
-    @pytest.mark.parametrize(
-        "module",
-        [
-            "repro.pmf",
-            "repro.system",
-            "repro.apps",
-            "repro.ra",
-            "repro.dls",
-            "repro.sim",
-            "repro.faults",
-            "repro.framework",
-            "repro.paper",
-            "repro.reporting",
-            "repro.cli",
-        ],
-    )
+    @pytest.mark.parametrize("module", PUBLIC_MODULES)
     def test_all_exports_resolve(self, module):
         mod = importlib.import_module(module)
-        for name in getattr(mod, "__all__", []):
+        exported = getattr(mod, "__all__", None)
+        assert exported is not None, f"{module} defines no __all__"
+        assert len(set(exported)) == len(exported), f"{module}.__all__ repeats a name"
+        for name in exported:
             assert hasattr(mod, name), f"{module}.{name} missing"
 
     def test_no_private_leaks_in_all(self):
-        for module in (
-            "repro.pmf",
-            "repro.system",
-            "repro.apps",
-            "repro.ra",
-            "repro.dls",
-            "repro.sim",
-            "repro.faults",
-            "repro.framework",
-        ):
+        for module in PUBLIC_MODULES:
             mod = importlib.import_module(module)
             for name in mod.__all__:
-                assert not name.startswith("_"), f"{module}.{name}"
+                if (module, name) != ("repro", "__version__"):
+                    assert not name.startswith("_"), f"{module}.{name}"
+
+    @pytest.mark.parametrize(
+        "base, registry",
+        [(DLSTechnique, ALL_TECHNIQUES), (RAHeuristic, HEURISTICS)],
+        ids=["ALL_TECHNIQUES", "HEURISTICS"],
+    )
+    def test_every_concrete_subclass_registered(self, base, registry):
+        # The CLI, the experiment drivers and the registry-driven tests
+        # reach techniques and heuristics by name only. Import every module
+        # first, so a subclass in a module nothing imports is seen too.
+        # The package filter (its __init__ and every module under it)
+        # keeps out classes that tests define.
+        for module in PUBLIC_MODULES:
+            importlib.import_module(module)
+        package = base.__module__.rpartition(".")[0]
+        unregistered = set()
+        pending = [base]
+        while pending:
+            for cls in pending.pop().__subclasses__():
+                pending.append(cls)
+                if (
+                    (cls.__module__ == package or cls.__module__.startswith(package + "."))
+                    and not cls.__name__.startswith("_")
+                    and not inspect.isabstract(cls)
+                    and cls not in registry.values()
+                ):
+                    unregistered.add(f"{cls.__module__}.{cls.__qualname__}")
+        assert not unregistered, sorted(unregistered)
 
     def test_docstrings_on_public_classes(self):
-        from repro.dls import ALL_TECHNIQUES
-        from repro.ra import HEURISTICS
-
         for cls in list(ALL_TECHNIQUES.values()) + list(HEURISTICS.values()):
             assert cls.__doc__ and cls.__doc__.strip(), cls
 
@@ -123,8 +139,6 @@ class TestPackageSurface:
     def test_only_the_milp_loads_scipy_optimize(self):
         # scipy.optimize costs ~0.2-0.8 s to import; importing repro and
         # running every other registered heuristic must not pay for it.
-        from repro.ra import HEURISTICS
-
         others = sorted(set(HEURISTICS) - {"milp-optimal"})
         code = (
             "import sys\n"

@@ -162,6 +162,13 @@ class TestDLSStudy:
         assert result.best_technique("case1", "app1") in ("FAC", "AF")
         assert isinstance(result.case_tolerable("case1"), bool)
         assert set(result.tolerable_cases()) == {"case1"}
+        assert list(result.cells()) == [
+            (case, app, tech, result.time(case, tech, app),
+             result.meets_deadline(case, tech, app))
+            for case in result.case_ids
+            for app in result.app_names
+            for tech in result.technique_names
+        ]
 
     def test_unknown_cell(self, paper_like_batch, paper_like_system, quick_config):
         from repro.ra import StageIEvaluator

@@ -35,18 +35,19 @@ class TestSinks:
         assert "SeedTree" in message
 
     def test_wall_clock_in_sim_entry(self):
+        # The time clocks are OBS002's; RNG101 keeps the datetime ones.
         findings = lint_sources(
             {
                 "sim/clock.py": (
-                    "import time\n"
+                    "import datetime\n"
                     "def run_case(case):\n"
-                    "    return time.perf_counter()\n"
+                    "    return datetime.datetime.utcnow()\n"
                 ),
             },
             select=["RNG101"],
         )
         assert rule_ids(findings) == ["RNG101"]
-        assert "time.perf_counter" in findings[0].message
+        assert "datetime.datetime.utcnow" in findings[0].message
 
     def test_datetime_now_via_from_import(self):
         findings = lint_sources(
@@ -152,7 +153,7 @@ class TestPerFileVerdict:
 
     def test_module_level_call_fires(self):
         findings = lint_sources(
-            {"apps/boot.py": "import time\nSTARTED = time.time()\n"},
+            {"apps/boot.py": "import datetime\nSTARTED = datetime.date.today()\n"},
             select=["RNG101"],
         )
         assert rule_ids(findings) == ["RNG101"]
@@ -218,8 +219,9 @@ class TestExemptions:
         assert findings[0].pkgpath == "ra/entropy.py"
         assert "`_fresh_entropy`" in findings[0].message
 
-    def test_obs_package_is_exempt(self):
-        # Observation legitimately reads wall clocks.
+    def test_obs_package_is_not_exempt(self):
+        # repro.obs reads its clocks through `time`, which is OBS002's;
+        # a datetime.now or OS-entropy read there is RNG101's like anywhere.
         findings = lint_sources(
             {
                 "sim/a.py": (
@@ -229,14 +231,15 @@ class TestExemptions:
                     "    return case\n"
                 ),
                 "obs/spans.py": (
-                    "import time\n"
+                    "from datetime import datetime\n"
                     "def stamp():\n"
-                    "    return time.time()\n"
+                    "    return datetime.now()\n"
                 ),
             },
             select=["RNG101"],
         )
-        assert findings == []
+        assert rule_ids(findings) == ["RNG101"]
+        assert findings[0].pkgpath == "obs/spans.py"
 
     def test_each_sink_reported_once(self):
         # Two public functions call the helper holding the sink; one finding.

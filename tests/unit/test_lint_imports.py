@@ -9,7 +9,7 @@ from repro._lint.core import module_name
 
 
 def make_module(pkgpath: str, source: str) -> Module:
-    return Module(path=pkgpath, pkgpath=pkgpath, tree=ast.parse(source), source=source)
+    return Module(path=pkgpath, pkgpath=pkgpath, tree=ast.parse(source))
 
 
 class TestModuleNaming:

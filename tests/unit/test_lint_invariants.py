@@ -1,8 +1,8 @@
 """Tests for the invariant linter (repro._lint).
 
-One deliberately-broken and one clean fixture per rule, a suppression
-test, CLI exit-code checks, and — the acceptance gate — a run over the
-real ``src`` tree asserting zero findings.
+One deliberately-broken and one clean fixture per rule, CLI exit-code
+checks, and — the acceptance gate — a run over the real ``src`` tree
+asserting zero findings.
 """
 
 from __future__ import annotations
@@ -236,117 +236,6 @@ class TestPmfImmutability:
         assert findings == []
 
 
-# ------------------------------------------------------- registry completeness
-
-
-_DLS_BASE = (
-    "from abc import ABC, abstractmethod\n"
-    "class DLSTechnique(ABC):\n"
-    "    @abstractmethod\n"
-    "    def session(self, n, workers): ...\n"
-)
-
-_RA_BASE = (
-    "from abc import ABC, abstractmethod\n"
-    "class RAHeuristic(ABC):\n"
-    "    @abstractmethod\n"
-    "    def allocate(self, evaluator): ...\n"
-)
-
-
-class TestRegistryCompleteness:
-    def test_flags_unregistered_technique(self):
-        findings = lint_sources(
-            {
-                "dls/base.py": _DLS_BASE,
-                "dls/shiny.py": (
-                    "from .base import DLSTechnique\n"
-                    "class Shiny(DLSTechnique):\n"
-                    "    def session(self, n, workers): ...\n"
-                ),
-                "dls/registry.py": "ALL_TECHNIQUES = {}\n",
-            },
-            select=["REG001"],
-        )
-        assert rule_ids(findings) == ["REG001"]
-        assert "Shiny" in findings[0].message
-
-    def test_registered_technique_passes(self):
-        findings = lint_sources(
-            {
-                "dls/base.py": _DLS_BASE,
-                "dls/shiny.py": (
-                    "from .base import DLSTechnique\n"
-                    "class Shiny(DLSTechnique):\n"
-                    "    def session(self, n, workers): ...\n"
-                ),
-                "dls/registry.py": (
-                    "from .shiny import Shiny\n"
-                    'ALL_TECHNIQUES = {"SHINY": Shiny}\n'
-                ),
-            },
-            select=["REG001"],
-        )
-        assert findings == []
-
-    def test_private_helper_bases_exempt(self):
-        findings = lint_sources(
-            {
-                "dls/base.py": _DLS_BASE,
-                "dls/helpers.py": (
-                    "from .base import DLSTechnique\n"
-                    "class _HelperBase(DLSTechnique):\n"
-                    "    def session(self, n, workers): ...\n"
-                ),
-                "dls/registry.py": "ALL_TECHNIQUES = {}\n",
-            },
-            select=["REG001"],
-        )
-        assert findings == []
-
-    def test_flags_unregistered_heuristic_dictcomp(self):
-        findings = lint_sources(
-            {
-                "ra/base.py": _RA_BASE,
-                "ra/fast.py": (
-                    "from .base import RAHeuristic\n"
-                    "class FastAllocator(RAHeuristic):\n"
-                    '    name = "fast"\n'
-                    "    def allocate(self, evaluator): ...\n"
-                ),
-                "ra/slow.py": (
-                    "from .base import RAHeuristic\n"
-                    "class SlowAllocator(RAHeuristic):\n"
-                    '    name = "slow"\n'
-                    "    def allocate(self, evaluator): ...\n"
-                ),
-                "ra/__init__.py": (
-                    "from .fast import FastAllocator\n"
-                    "from .slow import SlowAllocator\n"
-                    "HEURISTICS = {cls.name: cls for cls in (FastAllocator,)}\n"
-                    '__all__ = ["FastAllocator", "SlowAllocator", "HEURISTICS"]\n'
-                ),
-            },
-            select=["REG002"],
-        )
-        assert rule_ids(findings) == ["REG002"]
-        assert "SlowAllocator" in findings[0].message
-
-    def test_missing_registry_module_skips_spec(self):
-        findings = lint_sources(
-            {
-                "dls/base.py": _DLS_BASE,
-                "dls/shiny.py": (
-                    "from .base import DLSTechnique\n"
-                    "class Shiny(DLSTechnique):\n"
-                    "    def session(self, n, workers): ...\n"
-                ),
-            },
-            select=["REG001"],
-        )
-        assert findings == []
-
-
 # ------------------------------------------------------------- float equality
 
 
@@ -381,66 +270,6 @@ class TestFloatEquality:
         findings = lint_sources(
             {"apps/foo.py": "def f(cv):\n    return cv == 0.0\n"},
             select=["FLT001"],
-        )
-        assert findings == []
-
-
-# ------------------------------------------------------------------- __all__
-
-
-class TestDunderAll:
-    def test_flags_missing_all(self):
-        findings = lint_sources(
-            {"metrics/foo.py": "def public_fn():\n    return 1\n"},
-            select=["ALL001"],
-        )
-        assert rule_ids(findings) == ["ALL001"]
-
-    def test_flags_unresolvable_entry(self):
-        findings = lint_sources(
-            {
-                "metrics/foo.py": (
-                    '__all__ = ["exists", "missing"]\n'
-                    "def exists():\n    return 1\n"
-                )
-            },
-            select=["ALL002"],
-        )
-        assert rule_ids(findings) == ["ALL002"]
-        assert "missing" in findings[0].message
-
-    def test_flags_duplicate_entry(self):
-        findings = lint_sources(
-            {
-                "metrics/foo.py": (
-                    '__all__ = ["exists", "exists"]\n'
-                    "def exists():\n    return 1\n"
-                )
-            },
-            select=["ALL003"],
-        )
-        assert rule_ids(findings) == ["ALL003"]
-
-    def test_clean_module_passes(self):
-        findings = lint_sources(
-            {
-                "metrics/foo.py": (
-                    '__all__ = ["public_fn", "CONST"]\n'
-                    "CONST = 3\n"
-                    "def public_fn():\n    return CONST\n"
-                )
-            }
-        )
-        assert findings == []
-
-    def test_private_modules_exempt(self):
-        findings = lint_sources(
-            {
-                "_internal/foo.py": "def f():\n    return 1\n",
-                "metrics/_helper.py": "def f():\n    return 1\n",
-                "__main__.py": "def f():\n    return 1\n",
-            },
-            select=["ALL001"],
         )
         assert findings == []
 
@@ -543,6 +372,19 @@ class TestWallClock:
         )
         assert findings == []
 
+    def test_clock_read_draws_one_finding(self):
+        # OBS002 owns the time clocks; RNG101 does not report them again.
+        findings = lint_sources(
+            {
+                "sim/clock.py": (
+                    "import time\n"
+                    "def run_case(case):\n"
+                    "    return time.perf_counter()\n"
+                )
+            }
+        )
+        assert rule_ids(findings) == ["OBS002"]
+
     def test_non_clock_time_attrs_pass(self):
         findings = lint_sources(
             {
@@ -627,18 +469,6 @@ class TestProcessFanout:
 
 
 class TestFramework:
-    def test_pragma_suppresses_finding(self):
-        findings = lint_sources(
-            {
-                "sim/foo.py": (
-                    "def f(t):\n"
-                    "    return t == 1.0  # lint: skip=FLT001\n"
-                )
-            },
-            select=["FLT001"],
-        )
-        assert findings == []
-
     def test_unknown_select_id_raises(self):
         with pytest.raises(KeyError):
             lint_sources({"sim/foo.py": "x = 1\n"}, select=["NOPE999"])
@@ -660,19 +490,13 @@ class TestFramework:
             "RNG002",
             "RNG003",
             "PMF001",
-            "REG001",
-            "REG002",
             "FLT001",
-            "ALL001",
-            "ALL002",
-            "ALL003",
             "OBS001",
             "OBS002",
             "EXEC001",
             "EXEC101",
             "EXEC102",
             "RNG101",
-            "LNT001",
         } <= known_ids()
 
     def test_findings_carry_pkgpath(self):
@@ -681,60 +505,6 @@ class TestFramework:
             select=["FLT001"],
         )
         assert findings[0].pkgpath == "sim/foo.py"
-
-
-# ------------------------------------------------------- suppression hygiene
-
-
-class TestUnusedSkips:
-    def test_stale_suppression_reported(self):
-        findings = lint_sources(
-            {"sim/foo.py": "x = 1  # lint: skip=FLT001\n"},
-            select=["FLT001", "LNT001"],
-            report_unused_skips=True,
-        )
-        assert rule_ids(findings) == ["LNT001"]
-        assert "unused suppression" in findings[0].message
-        assert "FLT001" in findings[0].message
-
-    def test_live_suppression_not_reported(self):
-        findings = lint_sources(
-            {
-                "sim/foo.py": (
-                    "def f(t):\n"
-                    "    return t == 1.0  # lint: skip=FLT001\n"
-                )
-            },
-            select=["FLT001", "LNT001"],
-            report_unused_skips=True,
-        )
-        assert findings == []
-
-    def test_unknown_rule_id_in_suppression(self):
-        findings = lint_sources(
-            {"sim/foo.py": "x = 1  # lint: skip=NOPE999\n"},
-            select=["FLT001", "LNT001"],
-            report_unused_skips=True,
-        )
-        assert rule_ids(findings) == ["LNT001"]
-        assert "unknown rule id" in findings[0].message
-
-    def test_audit_off_by_default(self):
-        findings = lint_sources(
-            {"sim/foo.py": "x = 1  # lint: skip=FLT001\n"},
-            select=["FLT001"],
-        )
-        assert findings == []
-
-    def test_per_id_audit_respects_select(self):
-        # Selecting only RNG001 must not call an FLT001 suppression stale
-        # — the rule that could have used it never ran.
-        findings = lint_sources(
-            {"sim/foo.py": "x = 1  # lint: skip=FLT001\n"},
-            select=["RNG001", "LNT001"],
-            report_unused_skips=True,
-        )
-        assert findings == []
 
 
 # ------------------------------------------------------------ CLI interface
@@ -771,7 +541,7 @@ class TestCliFormats:
         assert run.returncode == 0
         for rule in all_rules().values():
             assert rule.title and rule.rationale
-            assert "/".join(rule.emitted_ids()) in run.stdout
+            assert rule.id in run.stdout
             assert rule.title in run.stdout
 
     def test_unknown_select_exits_2(self):
@@ -779,23 +549,26 @@ class TestCliFormats:
         assert run.returncode == 2
         assert "known ids" in run.stderr
 
-    def test_retired_schema_rules_are_unknown(self):
-        # OBS101-OBS103 gave way to tests/integration/test_obs_names.py.
+    def test_retired_rules_are_unknown(self):
+        # OBS101-OBS103 gave way to tests/integration/test_obs_names.py,
+        # REG001/REG002 and ALL001-ALL003 to TestPackageSurface in
+        # tests/unit/test_errors_and_exports.py; LNT001 went with the
+        # `lint: skip` pragma it audited.
+        retired = [
+            "OBS101", "OBS102", "OBS103",
+            "REG001", "REG002",
+            "ALL001", "ALL002", "ALL003",
+            "LNT001",
+        ]
         listed = run_cli("--list-rules")
         assert listed.returncode == 0
-        assert "OBS10" not in listed.stdout
-        run = run_cli("--select", "OBS101", "src")
+        run = run_cli("--select", ",".join(retired), "src")
         assert run.returncode == 2
         assert "known ids: " in run.stderr and "OBS002" in run.stderr
-        assert "OBS101" not in known_ids()
-
-    def test_report_unused_skips_flag(self, tmp_path):
-        stale = tmp_path / "repro" / "sim" / "stale.py"
-        stale.parent.mkdir(parents=True)
-        stale.write_text("x = 1  # lint: skip=FLT001\n")
-        run = run_cli("--report-unused-skips", str(stale))
-        assert run.returncode == 1
-        assert "LNT001" in run.stdout
+        for rule_id in retired:
+            assert rule_id not in listed.stdout
+            assert rule_id in run.stderr.partition("known ids")[0]
+            assert rule_id not in known_ids()
 
     def test_finding_line_format(self, tmp_path):
         bad = _sim_module(tmp_path, "bad.py", _FLOAT_EQUALITY)
@@ -853,6 +626,7 @@ class TestCliFormats:
             ["--write-baseline"],
             ["--changed-only"],
             ["--changed-base", "main"],
+            ["--report-unused-skips"],
         ],
         ids=lambda option: option[0],
     )

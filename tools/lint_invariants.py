@@ -3,16 +3,14 @@
 
 Usage::
 
-    python tools/lint_invariants.py src             # lint the library
+    python tools/lint_invariants.py src             # lint the library (CI gate)
     python tools/lint_invariants.py --list-rules    # show every rule
     python tools/lint_invariants.py --select RNG001,PMF001 src
-    python tools/lint_invariants.py --report-unused-skips src   # CI gate
 
 Prints one ``path:line:col: RULE message`` line per finding. Exits 0
 when clean, 1 when any invariant is violated, 2 on usage errors
-(unknown ``--select`` ids, missing or unparsable paths). Suppress a
-single line with a ``lint: skip=RULE`` hash-comment; audit stale
-suppressions with ``--report-unused-skips``.
+(unknown ``--select`` ids, missing or unparsable paths). No comment
+silences a finding: fix the code.
 
 The rules live in :mod:`repro._lint`; see CONTRIBUTING.md ("Static
 checks & invariants") for what each invariant means and how to add one.
@@ -53,29 +51,19 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="print every registered rule and exit",
     )
-    parser.add_argument(
-        "--report-unused-skips",
-        action="store_true",
-        help="report `lint: skip` comments that suppress nothing (LNT001)",
-    )
     args = parser.parse_args(argv)
 
     if args.list_rules:
         for rule in all_rules().values():
-            ids = "/".join(rule.emitted_ids())
-            print(f"{ids:<22} {rule.title}")
-            print(f"{'':<22}   {rule.rationale}")
+            print(f"{rule.id:<8} {rule.title}")
+            print(f"{'':<8}   {rule.rationale}")
         return 0
 
     select = None
     if args.select:
         select = [part.strip() for part in args.select.split(",") if part.strip()]
     try:
-        findings = run_lint(
-            args.paths,
-            select=select,
-            report_unused_skips=args.report_unused_skips,
-        )
+        findings = run_lint(args.paths, select=select)
     except KeyError as exc:
         known = "/".join(sorted(known_ids()))
         print(

@@ -46,6 +46,7 @@ DESCRIPTIONS = {
     "ext_timesteps": "AWF timestep adaptation",
     "ext_multibatch": "multi-batch stream",
     "ext_fepia": "FePIA robustness radii",
+    "ext_pareto": "Pareto front of stage-I allocations (phi1, E[makespan], procs)",
     "ext_phi1_validation": "analytic vs simulated phi1",
     "faults_rho": "(rho1, rho2) vs chaos fault rate (scenario 4)",
     "faults_zero_rate": "zero-rate fault plan vs fault-free baseline",
