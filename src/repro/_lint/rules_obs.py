@@ -10,8 +10,11 @@ exempt package (it *implements* both paths):
 * ``OBS002`` — no direct wall-clock reads (``time.time``,
   ``time.perf_counter``, ``time.monotonic``, ``time.process_time`` and
   their ``_ns`` variants — called under any import alias, or imported
-  from ``time``) outside ``repro/obs/``. This is the one rule on ``time``
-  clocks; RNG101 leaves them to it.
+  from ``time``) outside ``repro/obs/``. ``time.gmtime``,
+  ``time.localtime``, ``time.ctime`` and ``time.asctime`` called without
+  their time argument, and ``time.strftime(fmt)`` without its time tuple,
+  read the clock too; given a time they only format it. This is the one
+  rule on ``time`` clocks; RNG101 leaves them to it.
 """
 
 from __future__ import annotations
@@ -39,6 +42,16 @@ _CLOCK_NAMES = frozenset(
         "process_time_ns",
     }
 )
+
+#: ``time`` functions that format a given time but read the wall clock
+#: when it is left out: name -> position of the time argument.
+_CLOCK_DEFAULTS = {
+    "gmtime": 0,
+    "localtime": 0,
+    "ctime": 0,
+    "asctime": 0,
+    "strftime": 1,
+}
 
 
 def _in_obs(module: Module) -> bool:
@@ -90,7 +103,12 @@ class WallClockRule(Rule):
                     continue
                 name = module.resolve(raw)  # `import time as t` → time.*
                 head, _, attr = name.partition(".")
-                if head == "time" and attr in _CLOCK_NAMES:
+                if head != "time":
+                    continue
+                if attr in _CLOCK_NAMES or (
+                    attr in _CLOCK_DEFAULTS
+                    and len(node.args) <= _CLOCK_DEFAULTS[attr]
+                ):
                     yield module.finding(
                         node,
                         self.id,

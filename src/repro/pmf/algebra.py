@@ -41,8 +41,10 @@ __all__ = [
 ]
 
 #: Support-size cap applied after n-ary operations to keep repeated
-#: convolutions tractable; generous enough that CDF error is negligible for
-#: the library's workloads.
+#: convolutions tractable. Past it, :meth:`PMF.truncate` pools pulses into
+#: equal-width bins, which moves the CDF by at most one bin width. Stage-I
+#: deadline probabilities no longer pass through it (the evaluator reads
+#: them from the time CDF); completion and makespan PMFs still do.
 DEFAULT_MAX_POINTS = 4096
 
 

@@ -3,10 +3,12 @@
 Two single-pass greedy policies over the power-of-2 assignment space:
 
 * :class:`GreedyRobustAllocator` — applications are ordered hardest-first
-  (lowest best-case deadline probability); each in turn takes the feasible
-  group maximizing its own deadline probability, with ties broken toward the
-  fewest processors so later applications keep options. This is the
-  stochastic analogue of a "minimum completion time" list scheduler.
+  (lowest best-case deadline probability, ties in batch order: every
+  application sure to meet the deadline somewhere scores exactly 1.0);
+  each in turn takes the feasible group maximizing its own deadline
+  probability, with ties broken toward the fewest processors so later
+  applications keep options. This is the stochastic analogue of a
+  "minimum completion time" list scheduler.
 * :class:`GreedyPackingAllocator` — minimizes expected completion time
   instead of deadline probability; useful as a makespan-oriented baseline
   (and noticeably less robust, which the ablation benchmark shows).

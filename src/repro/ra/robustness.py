@@ -7,9 +7,17 @@ probability that every application's completion time is within the deadline:
 
     phi_1 = prod_i Pr(T_i^eff <= Delta)
 
-(independent applications; paper §II-A and §IV). The evaluator caches
-per-(app, type, size) PMFs because heuristics evaluate many allocations that
-share assignments.
+(independent applications; paper §II-A and §IV). Each factor needs no
+completion PMF: Eq. 2 scales every time pulse ``T`` by
+``c = s + (1 - s) / n`` and availability ``alpha`` divides it, so
+
+    Pr(T_i^eff <= Delta) = sum_alpha p_alpha * F_T(Delta * alpha / c)
+
+over the application's single-processor time CDF ``F_T`` on its type. The
+evaluator caches these probabilities per (app, type, size) assignment,
+because heuristics evaluate many allocations that share assignments, and
+builds completion PMFs only where a distribution is asked for (expected
+times, the makespan PMF and its deadline curve).
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from dataclasses import dataclass
 from ..apps import Application, Batch
 from ..contracts import check_allocation_feasible, contracts_enabled
 from ..obs import incr, obs_enabled
-from ..pmf import PMF, dilate_by_availability
+from ..pmf import PMF, amdahl_time, dilate_by_availability
 from ..system import HeterogeneousSystem, ProcessorGroup
 from .allocation import Allocation
 
@@ -59,14 +67,17 @@ class StageIEvaluator:
     The availability PMFs used are those carried by the *system* passed in —
     stage I evaluates against the historical/expected availability (the
     paper's case 1). This is the one evaluation path shared by every RA
-    heuristic, and it memoizes both layers of the phi_1 algebra per
+    heuristic, and it memoizes two things per
     ``(app name, type name, group size)`` assignment:
 
+    * the deadline probability ``Pr(T_i^eff <= Delta)``, read from the
+      single-processor time CDF at one point per availability level (see
+      :meth:`app_deadline_prob`), so candidate evaluations that revisit an
+      assignment (population-based searches revisit constantly) cost one
+      dict lookup;
     * the effective completion-time PMF (Eq. 2 composed with the
-      availability dilation) — the expensive construction;
-    * the deadline probability ``Pr(T_i^eff <= Delta)`` — so candidate
-      evaluations that revisit an assignment (population-based searches
-      revisit constantly) cost one dict lookup.
+      availability dilation), built only for the distribution views:
+      expected times, :meth:`makespan_pmf` and what derives from it.
 
     Cache traffic is counted locally (:meth:`cache_info`) and, when
     observation is active, on the ``ra.pmf_cache.*`` / ``ra.prob_cache.*``
@@ -127,14 +138,29 @@ class StageIEvaluator:
         return pmf
 
     def app_deadline_prob(self, app_name: str, group: ProcessorGroup) -> float:
-        """``Pr(T_i^eff <= Delta)`` for one assignment (memoized)."""
+        """``Pr(T_i^eff <= Delta)`` for one assignment (memoized).
+
+        ``sum_alpha p_alpha * F_T(Delta * alpha / c)`` with
+        ``c = s + (1 - s) / n``: the completion PMF's deadline probability
+        without building it, under this evaluator's availability as in
+        :meth:`app_completion_pmf`. It is exactly 1.0 when every time pulse
+        meets the deadline at every availability level (and exactly 0.0
+        when none does), so saturated assignments tie exactly.
+        """
         key = (app_name, group.ptype.name, group.size)
         prob = self._prob_cache.get(key)
         if prob is None:
             self._prob_misses += 1
-            prob = self.app_completion_pmf(app_name, group).prob_leq(
-                self._deadline
-            )
+            app = self._batch.app(app_name)
+            times = app.single_proc_pmf(group.ptype.name)
+            levels = self._system.group(group.ptype.name, group.size).availability
+            c = amdahl_time(1.0, app.serial_frac, group.size)
+            # reach[0] is the smallest: the levels are sorted ascending
+            reach = self._deadline * levels.values / c
+            if reach[0] >= times.values[-1]:
+                prob = 1.0
+            else:
+                prob = float(times.cdf(reach) @ levels.probs)
             self._prob_cache[key] = prob
             if obs_enabled():
                 incr("ra.prob_cache.miss")

@@ -17,10 +17,12 @@ a docs row, or a docs row nothing emits therefore fails here, one test
 id per documented name.
 
 The run is scenario 4 on the paper instance under chaos faults, plus
-one truncating convolution (``pmf.truncations``) and one pool rebuild
-after a killed worker (``exec.*``). The scenario runs on the serial
-backend: records a pool adopts get the worker's pid as a default
-``worker`` attribute, which would hide an event that dropped its own.
+the makespan PMF of its allocation (a second read of each completion
+PMF, ``ra.pmf_cache.hit``), one truncating convolution
+(``pmf.truncations``) and one pool rebuild after a killed worker
+(``exec.*``). The scenario runs on the serial backend: records a pool
+adopts get the worker's pid as a default ``worker`` attribute, which
+would hide an event that dropped its own.
 Metric names that end in a concrete technique (``dls.chunks.FAC``) are
 matched as the ``{technique}`` pattern the docs list.
 """
@@ -125,12 +127,15 @@ def recorded(tmp_path_factory) -> Recorded:
     pool = ProcessPoolBackend(2)
     try:
         with obs.observed() as session:
-            run_scenario(
+            result = run_scenario(
                 Scenario.ROBUST_IM_ROBUST_RAS,
                 cdsf,
                 paper_cases(),
                 backend=SerialBackend(),
             )
+            # The run's report builds each completion PMF once; reading
+            # them again hits the PMF cache (``ra.pmf_cache.hit``).
+            cdsf.evaluator.makespan_pmf(result.stage_i.allocation)
             convolve(coarse, fine, max_points=8)
             assert pool.run_tasks([KillOnceTask(str(sentinel))]) == [1]
     finally:

@@ -2,17 +2,29 @@
 
 On random small instances: every heuristic produces feasible allocations,
 no heuristic beats the exhaustive optimum, the MILP matches it, and the
-search space's bitmask look-ahead gives Hall's condition's verdict.
+search space's bitmask look-ahead gives Hall's condition's verdict. On the
+paper's, the benchmark's and seeded instances: the evaluator's deadline
+probabilities agree with the completion-PMF path within a stated bound.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps import Application, Batch, ExecutionTimeModel, normal_exectime_model
+from repro.apps import (
+    Application,
+    Batch,
+    ExecutionTimeModel,
+    WorkloadSpec,
+    degraded_availability,
+    normal_exectime_model,
+    random_instance,
+)
 from repro.contracts import check_allocation_feasible
 from repro.errors import InfeasibleAllocationError
-from repro.pmf import PMF, deterministic
+from repro.paper import paper_batch, paper_system
+from repro.pmf import PMF, amdahl_time, deterministic, dilate_by_availability
 from repro.ra import (
     ExhaustiveAllocator,
     GreedyRobustAllocator,
@@ -22,6 +34,7 @@ from repro.ra import (
     SearchSpace,
     StageIEvaluator,
     SufferageAllocator,
+    completion_pmf,
     enumerate_allocations,
 )
 from repro.ra.allocation import count_allocations
@@ -215,3 +228,148 @@ def test_limits_match_the_hall_condition(state):
 )
 def test_limits_match_the_hall_condition_on_edge_cases(remaining, supports, pending):
     check_limits(remaining, supports, pending)
+
+
+# ------------------------------------------------ deadline-probability oracle
+#
+# StageIEvaluator.app_deadline_prob reads Pr(T_eff <= Delta) as
+# sum_alpha p_alpha F_T(Delta alpha / c); the completion PMF's prob_leq is
+# the reference. The two round differently: the PMF path compares
+# (s t + (1 - s) t / n) / alpha, which the merge of the clipped zero
+# pulses may rewrite as (p v) / p, with Delta, the lookup compares t with
+# Delta alpha / c. So besides rounding (ORACLE_RTOL relative), a pulse
+# within ORACLE_RTOL of Delta may fall on either side of it in the two.
+
+ORACLE_RTOL = 1e-12
+SEEDED_SPEC = WorkloadSpec(n_apps=4, n_types=3, procs_per_type=(4, 8), cv=0.3)
+SPEC_24X6 = WorkloadSpec(
+    n_apps=24, n_types=6, procs_per_type=(16, 32), cv=0.5, availability_levels=4
+)
+ORACLE_INSTANCES = ["paper", "24x6", "seeded-0", "seeded-1", "seeded-2", "degraded-3"]
+
+
+def oracle_instance(name):
+    """``(batch, evaluation system, system the groups come from, deadline)``."""
+    if name == "paper":
+        return paper_batch(), paper_system(), paper_system(), 3250.0
+    if name == "24x6":
+        system, batch = random_instance(SPEC_24X6, np.random.default_rng(2012))
+        return batch, system, system, 2737.6656123848184
+    kind, seed = name.split("-")
+    system, batch = random_instance(SEEDED_SPEC, int(seed))
+    if kind == "seeded":
+        return batch, system, system, 2800.0
+    # Score groups built from the original system under a degraded one,
+    # as the sensitivity studies do.
+    degraded = system.with_availabilities(
+        {
+            t.name: degraded_availability(t.availability, f)
+            for t, f in zip(system.types, (0.6, 0.75, 0.9))
+        }
+    )
+    return batch, degraded, system, 2800.0
+
+
+def assignments(batch, system):
+    """Every (application, power-of-two group) a search can score."""
+    for app in batch:
+        for ptype in system.types:
+            if app.exec_time.supports(ptype.name):
+                size = 1
+                while size <= ptype.count:
+                    yield app, system.group(ptype.name, size)
+                    size *= 2
+
+
+def check_against_reference(batch, system, app, group, reference, rng, draws):
+    """``app_deadline_prob`` against ``reference.prob_leq`` at deadlines
+    drawn uniformly inside the support, at the reference's support points
+    and at the unmerged pulses ``c t / alpha``, on them and just either
+    side of them, clear of the boundary band (``draws`` of each)."""
+    own_group = system.group(group.ptype.name, group.size)
+    c = amdahl_time(1.0, app.serial_frac, group.size)
+    times = app.single_proc_pmf(group.ptype.name)
+    levels = own_group.availability
+    values = (c * times.values[:, None] / levels.values[None, :]).ravel()
+    masses = (times.probs[:, None] * levels.probs[None, :]).ravel()
+    lo, hi = reference.support()
+    pulses = rng.choice(values, draws)
+    deadlines = np.concatenate(
+        [
+            rng.uniform(lo, hi, draws),
+            rng.choice(reference.values, draws),
+            pulses,
+            pulses * (1.0 - 4 * ORACLE_RTOL),
+            pulses * (1.0 + 4 * ORACLE_RTOL),
+        ]
+    )
+    for deadline in map(float, deadlines[deadlines > 0.0]):
+        lookup = StageIEvaluator(batch, system, deadline).app_deadline_prob(
+            app.name, group
+        )
+        exact = reference.prob_leq(deadline)
+        on_boundary = masses[
+            np.abs(values - deadline) <= ORACLE_RTOL * max(deadline, 1.0)
+        ].sum()
+        assert abs(lookup - exact) <= ORACLE_RTOL * exact + on_boundary, (
+            app.name, group, deadline, lookup, exact,
+        )
+
+
+@pytest.mark.parametrize("name", ORACLE_INSTANCES)
+def test_deadline_prob_matches_the_completion_pmf(name):
+    batch, system, groups_from, _ = oracle_instance(name)
+    rng = np.random.default_rng(7)
+    draws = 3 if name == "24x6" else 8
+    for app, group in assignments(batch, groups_from):
+        reference = completion_pmf(app, system.group(group.ptype.name, group.size))
+        check_against_reference(batch, system, app, group, reference, rng, draws)
+        # Clear of the boundary band, the lookup saturates exactly.
+        lo, hi = reference.support()
+        above = StageIEvaluator(batch, system, hi * (1.0 + 1e-9))
+        assert above.app_deadline_prob(app.name, group) == 1.0
+        if lo > 0.0:
+            below = StageIEvaluator(batch, system, lo * (1.0 - 1e-9))
+            assert below.app_deadline_prob(app.name, group) == 0.0
+
+
+@pytest.mark.parametrize("name", ORACLE_INSTANCES)
+def test_saturated_assignments_tie_at_exactly_one(name):
+    batch, system, groups_from, _ = oracle_instance(name)
+    for deadline in (1e9, float("inf")):
+        evaluator = StageIEvaluator(batch, system, deadline)
+        for app, group in assignments(batch, groups_from):
+            assert evaluator.app_deadline_prob(app.name, group) == 1.0
+
+
+@pytest.mark.parametrize("name", ORACLE_INSTANCES)
+def test_phi1_matches_the_completion_pmf_path(name):
+    batch, system, _, deadline = oracle_instance(name)
+    evaluator = StageIEvaluator(batch, system, deadline)
+    for cls in (GreedyRobustAllocator, MinMinAllocator):
+        allocation = cls().allocate(evaluator).allocation
+        exact = 1.0
+        for app_name, group in allocation.items():
+            exact *= completion_pmf(batch.app(app_name), group).prob_leq(deadline)
+        assert evaluator.robustness(allocation) == pytest.approx(
+            exact, rel=ORACLE_RTOL, abs=0.0
+        ), cls.name
+
+
+def test_deadline_prob_never_truncates():
+    # 1,001 time pulses x 5 availability levels: more completion pulses
+    # than the 4,096 the default dilation keeps.
+    levels = PMF([0.33, 0.47, 0.61, 0.79, 0.97], [0.2] * 5)
+    system = HeterogeneousSystem([ProcessorType("t0", 4, availability=levels)])
+    app = Application(
+        "a0", 100, 900, normal_exectime_model({"t0": 2000.0}, cv=0.3, n_points=1001)
+    )
+    assert len(app.single_proc_pmf("t0")) == 1001
+    rng = np.random.default_rng(11)
+    for size in (1, 2, 4):
+        group = system.group("t0", size)
+        full = dilate_by_availability(
+            app.parallel_time_pmf("t0", size), levels, max_points=None
+        )
+        assert len(full) > 4096 and len(completion_pmf(app, group)) < len(full)
+        check_against_reference(Batch([app]), system, app, group, full, rng, 40)

@@ -359,6 +359,47 @@ class TestWallClock:
         )
         assert rule_ids(findings) == ["OBS002"]
 
+    def test_flags_clock_defaulting_time_calls(self):
+        # Without their time argument these read the wall clock.
+        findings = lint_sources(
+            {
+                "sim/foo.py": (
+                    "import time\n"
+                    "from time import localtime\n"
+                    "def stamp():\n"
+                    "    return (\n"
+                    "        time.gmtime(),\n"
+                    "        localtime(),\n"
+                    "        time.ctime(),\n"
+                    "        time.asctime(),\n"
+                    "        time.strftime('%Y'),\n"
+                    "    )\n"
+                )
+            },
+            select=["OBS002"],
+        )
+        assert rule_ids(findings) == ["OBS002"] * 5
+        assert [f.line for f in findings] == [5, 6, 7, 8, 9]
+
+    def test_formatting_a_given_time_not_flagged(self):
+        findings = lint_sources(
+            {
+                "sim/foo.py": (
+                    "import time\n"
+                    "def stamp(t):\n"
+                    "    return (\n"
+                    "        time.gmtime(t),\n"
+                    "        time.localtime(t),\n"
+                    "        time.ctime(t),\n"
+                    "        time.asctime(time.gmtime(t)),\n"
+                    "        time.strftime('%Y', time.gmtime(t)),\n"
+                    "    )\n"
+                )
+            },
+            select=["OBS002"],
+        )
+        assert findings == []
+
     def test_obs_package_exempt(self):
         findings = lint_sources(
             {

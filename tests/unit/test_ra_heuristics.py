@@ -403,66 +403,66 @@ def restricted_evaluator():
 #: ``None`` otherwise): its pick among tied optima may change with SciPy.
 PINNED = {
     ("paper", "exhaustive-optimal"):
-        ("app1:type1:2 app2:type1:2 app3:type2:8", 0.7447125832597674, 153),
+        ("app1:type1:2 app2:type1:2 app3:type2:8", 0.7447125832597702, 153),
     ("paper", "genetic"):
-        ("app1:type1:2 app2:type1:2 app3:type2:8", 0.7447125832597674, 2440),
+        ("app1:type1:2 app2:type1:2 app3:type2:8", 0.7447125832597702, 2440),
     ("paper", "greedy-packing"):
-        ("app1:type1:2 app2:type1:2 app3:type2:8", 0.7447125832597674, 32),
+        ("app1:type1:2 app2:type1:2 app3:type2:8", 0.7447125832597702, 32),
     ("paper", "greedy-robust"):
-        ("app1:type1:2 app2:type1:2 app3:type2:8", 0.7447125832597674, 32),
+        ("app1:type1:2 app2:type1:2 app3:type2:8", 0.7447125832597702, 32),
     ("paper", "max-min"):
-        ("app1:type1:1 app2:type1:2 app3:type2:8", 0.7446409629361616, 27),
+        ("app1:type1:1 app2:type1:2 app3:type2:8", 0.7446409629361642, 27),
     ("paper", "milp-optimal"):
-        ("app1:type1:2 app2:type1:2 app3:type2:8", 0.7447125832597674, 21),
+        ("app1:type1:2 app2:type1:2 app3:type2:8", 0.7447125832597702, 21),
     ("paper", "min-min"):
-        ("app1:type1:1 app2:type1:2 app3:type2:8", 0.7446409629361616, 38),
+        ("app1:type1:1 app2:type1:2 app3:type2:8", 0.7446409629361642, 38),
     ("paper", "naive-equal-share"):
-        ("app1:type2:4 app2:type1:4 app3:type2:4", 0.25940610243172074, 3),
+        ("app1:type2:4 app2:type1:4 app3:type2:4", 0.25940610243172113, 3),
     ("paper", "simulated-annealing"):
-        ("app1:type1:2 app2:type1:2 app3:type2:8", 0.7447125832597674, 2347),
+        ("app1:type1:2 app2:type1:2 app3:type2:8", 0.7447125832597702, 2347),
     ("paper", "sufferage"):
-        ("app1:type1:1 app2:type1:2 app3:type2:8", 0.7446409629361617, 27),
+        ("app1:type1:1 app2:type1:2 app3:type2:8", 0.7446409629361642, 27),
     ("seeded", "exhaustive-optimal"):
-        ("app1:type3:4 app2:type3:4 app3:type1:4 app4:type1:2", 0.83686561883328, 5591),
+        ("app1:type3:4 app2:type3:4 app3:type1:4 app4:type1:2", 0.836865618833279, 5591),
     ("seeded", "genetic"):
-        ("app1:type3:4 app2:type3:4 app3:type1:4 app4:type1:2", 0.83686561883328, 2440),
+        ("app1:type3:4 app2:type3:4 app3:type1:4 app4:type1:2", 0.836865618833279, 2440),
     ("seeded", "greedy-packing"):
-        ("app1:type1:8 app2:type3:8 app3:type2:2 app4:type2:2", 0.007004689338880879, 66),
+        ("app1:type1:8 app2:type3:8 app3:type2:2 app4:type2:2", 0.00700468933888087, 66),
     ("seeded", "greedy-robust"):
-        ("app1:type1:8 app2:type3:8 app3:type2:2 app4:type2:2", 0.007004689338880879, 66),
+        ("app1:type1:8 app2:type3:8 app3:type2:2 app4:type2:2", 0.00700468933888087, 66),
     ("seeded", "max-min"):
-        ("app1:type1:8 app2:type3:8 app3:type2:2 app4:type2:2", 0.007004689338880878, 71),
+        ("app1:type1:8 app2:type3:8 app3:type2:2 app4:type2:2", 0.00700468933888087, 71),
     # Two allocations share the optimum (app4 on 2 or 4 type1
     # processors), so the MILP's pick is not pinned.
-    ("seeded", "milp-optimal"): (None, 0.83686561883328, 44),
+    ("seeded", "milp-optimal"): (None, 0.836865618833279, 44),
     ("seeded", "min-min"):
-        ("app1:type3:8 app2:type2:4 app3:type1:4 app4:type1:2", 0.4773964784215368, 97),
+        ("app1:type3:8 app2:type2:4 app3:type1:4 app4:type1:2", 0.47739647842153576, 97),
     ("seeded", "naive-equal-share"):
-        ("app1:type3:4 app2:type3:4 app3:type1:4 app4:type1:4", 0.83686561883328, 30),
+        ("app1:type3:4 app2:type3:4 app3:type1:4 app4:type1:4", 0.836865618833279, 30),
     ("seeded", "simulated-annealing"):
-        ("app1:type1:4 app2:type3:8 app3:type1:2 app4:type1:2", 0.50106918329376, 2800),
+        ("app1:type1:4 app2:type3:8 app3:type1:2 app4:type1:2", 0.5010691832937588, 2800),
     ("seeded", "sufferage"):
-        ("app1:type1:8 app2:type3:8 app3:type2:2 app4:type2:2", 0.007004689338880879, 71),
+        ("app1:type1:8 app2:type3:8 app3:type2:2 app4:type2:2", 0.00700468933888087, 71),
     ("restricted", "exhaustive-optimal"):
-        ("a0:t2:1 a1:t2:2 a2:t1:4 a3:t2:2", 0.3366374235920712, 145),
+        ("a0:t2:1 a1:t2:2 a2:t1:4 a3:t2:2", 0.3366374235920717, 145),
     ("restricted", "genetic"):
-        ("a0:t2:1 a1:t2:2 a2:t1:4 a3:t2:2", 0.3366374235920712, 2440),
+        ("a0:t2:1 a1:t2:2 a2:t1:4 a3:t2:2", 0.3366374235920717, 2440),
     ("restricted", "greedy-packing"):
-        ("a0:t0:2 a1:t2:1 a2:t1:4 a3:t2:4", 0.14693559572047066, 31),
+        ("a0:t0:2 a1:t2:1 a2:t1:4 a3:t2:4", 0.1469355957204711, 31),
     ("restricted", "greedy-robust"):
-        ("a0:t1:2 a1:t2:1 a2:t1:4 a3:t2:4", 0.17315809239772884, 31),
+        ("a0:t1:4 a1:t2:1 a2:t1:2 a3:t2:4", 0.17235719767278476, 31),
     ("restricted", "max-min"):
-        ("a0:t1:4 a1:t2:1 a2:t2:2 a3:t2:2", 0.32969887932184394, 39),
+        ("a0:t1:4 a1:t2:1 a2:t2:2 a3:t2:2", 0.32969887932184466, 39),
     ("restricted", "milp-optimal"):
-        ("a0:t2:1 a1:t2:2 a2:t1:4 a3:t2:2", 0.3366374235920712, 20),
+        ("a0:t2:1 a1:t2:2 a2:t1:4 a3:t2:2", 0.3366374235920717, 20),
     ("restricted", "min-min"):
-        ("a0:t1:4 a1:t2:4 a2:t1:2 a3:t2:1", 0.051513451981973726, 31),
+        ("a0:t1:4 a1:t2:4 a2:t1:2 a3:t2:1", 0.05151345198197389, 31),
     ("restricted", "naive-equal-share"):
-        ("a0:t1:2 a1:t2:2 a2:t1:2 a3:t2:2", 0.15326004195323298, 2),
+        ("a0:t1:2 a1:t2:2 a2:t1:2 a3:t2:2", 0.15326004195323326, 2),
     ("restricted", "simulated-annealing"):
-        ("a0:t2:1 a1:t2:2 a2:t1:4 a3:t2:2", 0.3366374235920712, 1882),
+        ("a0:t2:1 a1:t2:2 a2:t1:4 a3:t2:2", 0.3366374235920717, 1874),
     ("restricted", "sufferage"):
-        ("a0:t1:4 a1:t2:1 a2:t2:2 a3:t2:2", 0.32969887932184394, 39),
+        ("a0:t1:4 a1:t2:1 a2:t2:2 a3:t2:2", 0.32969887932184466, 39),
 }
 
 

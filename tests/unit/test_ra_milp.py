@@ -194,7 +194,8 @@ class TestEdgeCases:
 
 def evaluator_24x6():
     """24 applications on 6 types of 16-32 processors (792 candidate
-    groups), the benchmark's stage-I instance, at its calibrated deadline."""
+    groups), the benchmark's stage-I instance, at Δ = 2737.7 (the deadline
+    the benchmark calibrated to while stage I summed completion PMFs)."""
     spec = WorkloadSpec(
         n_apps=24, n_types=6, procs_per_type=(16, 32), cv=0.5, availability_levels=4
     )

@@ -2,8 +2,11 @@
 
 import pytest
 
+import repro.obs as obs
 from repro.ra import (
     Allocation,
+    GreedyRobustAllocator,
+    MILPAllocator,
     StageIEvaluator,
     completion_pmf,
 )
@@ -96,16 +99,33 @@ class TestEvaluator:
             "prob_hits": 0,
             "prob_misses": 0,
         }
-        evaluator.app_deadline_prob("app1", group)
-        info = evaluator.cache_info()
-        assert info["prob_misses"] == 1 and info["pmf_misses"] == 1
-        evaluator.app_deadline_prob("app1", group)
-        evaluator.app_deadline_prob("app1", group)
-        info = evaluator.cache_info()
-        assert info["prob_hits"] == 2
-        assert info["prob_misses"] == 1
-        # The prob layer short-circuits, so the PMF cache is untouched.
-        assert info["pmf_hits"] == 0
+        for _ in range(3):
+            evaluator.app_deadline_prob("app1", group)
+        # A probability is read from the time CDF: no completion PMF is
+        # built for it.
+        assert evaluator.cache_info() == {
+            "pmf_hits": 0,
+            "pmf_misses": 0,
+            "prob_hits": 2,
+            "prob_misses": 1,
+        }
+        for _ in range(2):
+            evaluator.app_expected_time("app1", group)
+        # The distribution views build the PMF once, then reuse it.
+        assert evaluator.cache_info() == {
+            "pmf_hits": 1,
+            "pmf_misses": 1,
+            "prob_hits": 2,
+            "prob_misses": 1,
+        }
+
+    @pytest.mark.parametrize("allocator", [GreedyRobustAllocator, MILPAllocator])
+    def test_probability_searches_build_no_completion_pmf(self, allocator, evaluator):
+        with obs.observed() as session:
+            allocator().allocate(evaluator)
+        assert evaluator.cache_info()["prob_misses"] > 0
+        assert evaluator.cache_info()["pmf_misses"] == 0
+        assert "pmf.dilations" not in session.metrics.snapshot()["counters"]
 
     def test_cache_keyed_by_assignment_not_group_identity(
         self, evaluator, paper_like_system
