@@ -36,8 +36,10 @@ class AnnealingAllocator(RAHeuristic):
     iterations:
         Total annealing steps.
     initial_temperature, cooling:
-        Geometric cooling schedule ``T_k = T_0 * cooling^k``; the objective
-        is a probability in [0, 1], so the default temperature is small.
+        Geometric cooling schedule ``T_k = T_0 * cooling^k`` (``T_0``
+        positive and finite); the objective is a probability in [0, 1],
+        so the default temperature is small. Once ``T_k`` underflows to 0,
+        every worse neighbour is rejected.
     rng:
         Seed or generator for reproducibility.
     restarts:
@@ -59,9 +61,10 @@ class AnnealingAllocator(RAHeuristic):
             raise ValueError("iterations must be >= 1")
         if not 0 < cooling < 1:
             raise ValueError("cooling must be in (0, 1)")
-        if not initial_temperature > 0:
+        if not 0 < initial_temperature < math.inf:
             raise ValueError(
-                f"initial_temperature must be positive, got {initial_temperature}"
+                "initial_temperature must be positive and finite, "
+                f"got {initial_temperature}"
             )
         if restarts < 1:
             raise ValueError("restarts must be >= 1")
@@ -105,7 +108,11 @@ class AnnealingAllocator(RAHeuristic):
                 rob = evaluator.joint_probability(neighbor)
                 evaluations += 1
                 delta = rob - state_rob
-                if delta >= 0 or gen.random() < math.exp(delta / temperature):
+                # Geometric cooling underflows to 0 (after ~1,070 steps at
+                # cooling 0.5); there exp(-inf) = 0 rejects every worse move.
+                if delta >= 0 or gen.random() < (
+                    math.exp(delta / temperature) if temperature else 0.0
+                ):
                     state, state_rob = neighbor, rob
                     if state_rob > best_rob:
                         best_state, best_rob = dict(state), state_rob

@@ -67,6 +67,9 @@ class SearchSpace:
             name: sum(bit[t] for t in {g.ptype.name for g in groups})
             for name, groups in self.candidates.items()
         }
+        # limits() answers for the last ``remaining``, by pending demand.
+        self._free: tuple[int, ...] = ()
+        self._limits: dict[tuple[int, ...], dict[str, int]] = {}
 
     def limits(
         self, remaining: Mapping[str, int], pending: Iterable[str]
@@ -86,12 +89,31 @@ class SearchSpace:
         ``t`` by ``k``, so the limit is their least slack (the singleton
         ``{t}`` bounds it by ``remaining[t]``), or 0 if a set without ``t``
         already runs short. ``O(T 2^T)`` integer work for ``T`` types.
+
+        ``pending`` matters only through how many of its applications
+        have each set of supported types, so calls with the same
+        ``remaining`` and the same such counts (one round of a round-based
+        heuristic, asking once per application with the others pending)
+        share one computation.
         """
         types = self._types
-        full = 1 << len(types)
-        demand = [0] * full
+        demand = [0] * (1 << len(types))
         for name in pending:
             demand[self._needs[name]] += 1
+        free = tuple(remaining[t] for t in types)
+        if free != self._free:
+            self._free = free
+            self._limits.clear()
+        key = tuple(demand)
+        out = self._limits.get(key)
+        if out is None:
+            out = self._limits[key] = self._hall_limits(free, demand)
+        return dict(out)
+
+    def _hall_limits(self, free: tuple[int, ...], demand: list[int]) -> dict[str, int]:
+        """:meth:`limits` from the free counts and the demand by support mask."""
+        types = self._types
+        full = 1 << len(types)
         for k in range(len(types)):  # sum over subsets
             bit = 1 << k
             for s in range(full):
@@ -101,7 +123,7 @@ class SearchSpace:
         capacity = [0] * full
         for s in range(1, full):
             low = s & -s
-            capacity[s] = capacity[s ^ low] + remaining[types[low.bit_length() - 1]]
+            capacity[s] = capacity[s ^ low] + free[low.bit_length() - 1]
             slack[s] = capacity[s] - demand[s]
         out: dict[str, int] = {}
         for k, t in enumerate(types):

@@ -15,6 +15,8 @@ elitism preserves the best individual.
 
 from __future__ import annotations
 
+from bisect import insort
+
 import numpy as np
 
 from ..errors import InfeasibleAllocationError
@@ -108,23 +110,26 @@ class GeneticAllocator(RAHeuristic):
 
         def repair(chrom: np.ndarray) -> np.ndarray:
             """Shrink largest groups of oversubscribed types until feasible."""
-            chrom = chrom.copy()
+            genes = chrom.tolist()
+            used = dict.fromkeys(capacity, 0)
+            # The applications on each type, in application order.
+            members: dict[str, list[int]] = {t: [] for t in capacity}
+            for i, (ts, ss, g) in enumerate(zip(types, sizes, genes)):
+                used[ts[g]] += ss[g]
+                members[ts[g]].append(i)
             for _ in range(64):  # bounded; moves between types may cycle
-                genes = chrom.tolist()
-                usage: dict[str, int] = {}
-                for ts, ss, g in zip(types, sizes, genes):
-                    usage[ts[g]] = usage.get(ts[g], 0) + ss[g]
-                tname = next((t for t, used in usage.items() if used > capacity[t]), None)
-                if tname is None:
-                    return chrom
-                # First of the largest groups of the oversubscribed type
-                # that can shrink or move to another type.
+                over = [t for t, n in used.items() if n > capacity[t]]
+                if not over:
+                    return np.array(genes, dtype=chrom.dtype)
+                # The type of the first application, in application order,
+                # on an oversubscribed type; the first of its largest groups
+                # that can shrink or move to another type is the victim.
+                tname = min(over, key=lambda t: members[t][0])
                 victim, largest = -1, 0
-                for i, g in enumerate(genes):
-                    if (
-                        types[i][g] == tname
-                        and sizes[i][g] > largest
-                        and (shrink[i][g] is not None or others[i][g])
+                for i in members[tname]:
+                    g = genes[i]
+                    if sizes[i][g] > largest and (
+                        shrink[i][g] is not None or others[i][g]
                     ):
                         victim, largest = i, sizes[i][g]
                 if victim < 0:
@@ -133,14 +138,17 @@ class GeneticAllocator(RAHeuristic):
                         f"{tname!r} has one processor and no other type"
                     )
                 g = genes[victim]
-                smaller = shrink[victim][g]
-                if smaller is not None:
-                    chrom[victim] = smaller
-                else:
+                new = shrink[victim][g]
+                if new is None:
                     # Cannot shrink: move the victim to a random other type.
                     other = others[victim][g]
-                    chrom[victim] = other[int(gen.integers(len(other)))]
-            return settle(chrom)
+                    new = other[int(gen.integers(len(other)))]
+                    members[tname].remove(victim)
+                    insort(members[types[victim][new]], victim)
+                genes[victim] = new
+                used[tname] -= largest
+                used[types[victim][new]] += sizes[victim][new]
+            return settle(np.array(genes, dtype=chrom.dtype))
 
         def settle(chrom: np.ndarray) -> np.ndarray:
             """Make ``chrom`` feasible app by app under the look-ahead.
@@ -162,15 +170,11 @@ class GeneticAllocator(RAHeuristic):
                 remaining[ts[g]] -= ss[g]
             return chrom
 
-        def population_fitness(chroms: list[np.ndarray]) -> np.ndarray:
+        def population_fitness(chroms: list[np.ndarray]) -> list[float]:
             # One fan-out per generation through the shared stage-I
             # evaluation path (memoized serially, chunked on a parallel
             # backend).
-            return np.array(
-                evaluate_allocations(
-                    evaluator, [decode(c) for c in chroms], backend
-                )
-            )
+            return evaluate_allocations(evaluator, [decode(c) for c in chroms], backend)
 
         # Initial population: random chromosomes, repaired.
         pop = [
@@ -185,7 +189,7 @@ class GeneticAllocator(RAHeuristic):
         evaluations += len(pop)
 
         for _ in range(self._generations):
-            elite_idx = int(np.argmax(fit))
+            elite_idx = fit.index(max(fit))
             new_pop = [pop[elite_idx].copy()]
             while len(new_pop) < self._population:
                 pa = self._tournament_pick(pop, fit, gen)
@@ -202,14 +206,14 @@ class GeneticAllocator(RAHeuristic):
             fit = population_fitness(pop)
             evaluations += len(pop)
 
-        best_idx = int(np.argmax(fit))
+        best_idx = fit.index(max(fit))
         return space.result(
             self.name, decode(pop[best_idx]), evaluations, float(fit[best_idx])
         )
 
     def _tournament_pick(
-        self, pop: list[np.ndarray], fit: np.ndarray, gen: np.random.Generator
+        self, pop: list[np.ndarray], fit: list[float], gen: np.random.Generator
     ) -> np.ndarray:
-        contenders = gen.integers(len(pop), size=self._tournament)
-        winner = contenders[int(np.argmax(fit[contenders]))]
-        return pop[int(winner)]
+        contenders = gen.integers(len(pop), size=self._tournament).tolist()
+        # max keeps the first of tied contenders, as np.argmax does
+        return pop[max(contenders, key=fit.__getitem__)]

@@ -15,9 +15,11 @@ completion PMF: Eq. 2 scales every time pulse ``T`` by
 
 over the application's single-processor time CDF ``F_T`` on its type. The
 evaluator caches these probabilities per (app, type, size) assignment,
-because heuristics evaluate many allocations that share assignments, and
-builds completion PMFs only where a distribution is asked for (expected
-times, the makespan PMF and its deadline curve).
+because heuristics evaluate many allocations that share assignments; the
+first one asked of an (app, type) pair computes every power-of-two size of
+the type in one pass over ``F_T``. It builds completion PMFs only where a
+distribution is asked for (expected times, the makespan PMF and its
+deadline curve).
 """
 
 from __future__ import annotations
@@ -25,12 +27,14 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..apps import Application, Batch
 from ..contracts import check_allocation_feasible, contracts_enabled
 from ..obs import incr, obs_enabled
 from ..pmf import PMF, amdahl_time, dilate_by_availability
 from ..system import HeterogeneousSystem, ProcessorGroup
-from .allocation import Allocation
+from .allocation import Allocation, powers_of_two_upto
 
 __all__ = ["StageIEvaluator", "AllocationReport", "completion_pmf"]
 
@@ -74,7 +78,9 @@ class StageIEvaluator:
       single-processor time CDF at one point per availability level (see
       :meth:`app_deadline_prob`), so candidate evaluations that revisit an
       assignment (population-based searches revisit constantly) cost one
-      dict lookup;
+      dict lookup. The first assignment read of an (app, type) pair
+      computes the pair's other power-of-two sizes too; each still counts
+      as a miss when first read;
     * the effective completion-time PMF (Eq. 2 composed with the
       availability dilation), built only for the distribution views:
       expected times, :meth:`makespan_pmf` and what derives from it.
@@ -94,6 +100,8 @@ class StageIEvaluator:
         self._deadline = deadline
         self._pmf_cache: dict[tuple[str, str, int], PMF] = {}
         self._prob_cache: dict[tuple[str, str, int], float] = {}
+        # Computed alongside an earlier miss, not yet read.
+        self._prob_unread: dict[tuple[str, str, int], float] = {}
         self._pmf_hits = 0
         self._pmf_misses = 0
         self._prob_hits = 0
@@ -145,22 +153,18 @@ class StageIEvaluator:
         without building it, under this evaluator's availability as in
         :meth:`app_completion_pmf`. It is exactly 1.0 when every time pulse
         meets the deadline at every availability level (and exactly 0.0
-        when none does), so saturated assignments tie exactly.
+        when none does), so saturated assignments tie exactly. The first
+        miss of an (app, type) pair computes all its power-of-two sizes
+        at once (:meth:`_type_pass`); every assignment still counts one
+        miss, on its first read.
         """
         key = (app_name, group.ptype.name, group.size)
         prob = self._prob_cache.get(key)
         if prob is None:
             self._prob_misses += 1
-            app = self._batch.app(app_name)
-            times = app.single_proc_pmf(group.ptype.name)
-            levels = self._system.group(group.ptype.name, group.size).availability
-            c = amdahl_time(1.0, app.serial_frac, group.size)
-            # reach[0] is the smallest: the levels are sorted ascending
-            reach = self._deadline * levels.values / c
-            if reach[0] >= times.values[-1]:
-                prob = 1.0
-            else:
-                prob = float(times.cdf(reach) @ levels.probs)
+            prob = self._prob_unread.pop(key, None)
+            if prob is None:
+                prob = self._type_pass(*key)
             self._prob_cache[key] = prob
             if obs_enabled():
                 incr("ra.prob_cache.miss")
@@ -169,6 +173,36 @@ class StageIEvaluator:
             if obs_enabled():
                 incr("ra.prob_cache.hit")
         return prob
+
+    def _type_pass(self, app_name: str, type_name: str, size: int) -> float:
+        """``Pr(T_eff <= Delta)`` on ``size`` processors of the type.
+
+        One pass over ``F_T`` computes every power-of-two size of the type
+        too; those not read yet wait in ``_prob_unread``. Per size it is the
+        arithmetic of a single lookup: ``reach = (Delta * alpha) / c`` and
+        ``F_T(reach) @ p_alpha``, or exactly 1.0 when every time pulse
+        meets the deadline at every level.
+        """
+        app = self._batch.app(app_name)
+        times = app.single_proc_pmf(type_name)
+        # as a group would, this rejects a size the evaluator's type lacks
+        ptype = self._system.group(type_name, size).ptype
+        levels = ptype.availability
+        sizes = powers_of_two_upto(ptype.count)
+        if size not in sizes:
+            sizes.append(size)
+        c = np.array([amdahl_time(1.0, app.serial_frac, n) for n in sizes])
+        # reach[k, 0] is row k's smallest: the levels are sorted ascending
+        reach = (self._deadline * levels.values) / c[:, None]
+        top = times.values[-1]
+        probs = [
+            1.0 if row[0] >= top else float(below @ levels.probs)
+            for row, below in zip(reach, times.cdf(reach))
+        ]
+        for n, p in zip(sizes, probs):
+            if n != size and (app_name, type_name, n) not in self._prob_cache:
+                self._prob_unread[app_name, type_name, n] = p
+        return probs[sizes.index(size)]
 
     def cache_info(self) -> dict[str, int]:
         """Hit/miss totals of the two memoization layers."""

@@ -2,10 +2,14 @@
 
 On random small instances: every heuristic produces feasible allocations,
 no heuristic beats the exhaustive optimum, the MILP matches it, and the
-search space's bitmask look-ahead gives Hall's condition's verdict. On the
-paper's, the benchmark's and seeded instances: the evaluator's deadline
-probabilities agree with the completion-PMF path within a stated bound.
+search space's bitmask look-ahead gives Hall's condition's verdict and
+depends on the pending applications only through their sets of types. On
+the paper's, the benchmark's and seeded instances: the evaluator's
+deadline probabilities agree with the completion-PMF path within a stated
+bound, and bit for bit with a lookup of each assignment on its own.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +26,7 @@ from repro.apps import (
     random_instance,
 )
 from repro.contracts import check_allocation_feasible
-from repro.errors import InfeasibleAllocationError
+from repro.errors import InfeasibleAllocationError, ModelError
 from repro.paper import paper_batch, paper_system
 from repro.pmf import PMF, amdahl_time, deterministic, dilate_by_availability
 from repro.ra import (
@@ -169,20 +173,26 @@ def others_can_complete(remaining, needs):
     return True
 
 
+def limits_space(types, supports):
+    """The search space of 8 processors per type and applications ``a{i}``
+    running on the types ``supports[i]``."""
+    system = HeterogeneousSystem(ProcessorType(t, 8) for t in types)
+    batch = Batch(
+        Application(
+            f"a{i}", 0, 1, ExecutionTimeModel({t: deterministic(1.0) for t in sorted(s)})
+        )
+        for i, s in enumerate(supports)
+    )
+    return SearchSpace(StageIEvaluator(batch, system, 1.0))
+
+
 def check_limits(remaining, supports, pending):
     """``limits`` admits exactly the groups the capacity + Hall scan admits.
 
     ``supports[i]`` is the set of types application ``a{i}`` runs on and
     ``pending`` the indices of the applications still to be placed.
     """
-    system = HeterogeneousSystem(ProcessorType(t, 8) for t in remaining)
-    batch = Batch(
-        Application(
-            f"a{i}", 0, 1, ExecutionTimeModel({t: deterministic(1.0) for t in types})
-        )
-        for i, types in enumerate(supports)
-    )
-    space = SearchSpace(StageIEvaluator(batch, system, 1.0))
+    space = limits_space(list(remaining), supports)
     limits = space.limits(remaining, [f"a{i}" for i in pending])
     assert set(limits) == set(remaining)
     needs = [supports[i] for i in pending]
@@ -373,3 +383,157 @@ def test_deadline_prob_never_truncates():
         )
         assert len(full) > 4096 and len(completion_pmf(app, group)) < len(full)
         check_against_reference(Batch([app]), system, app, group, full, rng, 40)
+
+
+# ------------------------------------- one pass per (application, type)
+#
+# A probability miss computes every power-of-two size of the assignment's
+# (application, type) pair at once. Each value must be what a lookup of
+# that one assignment computes, bit for bit, whatever order the
+# assignments are read in.
+
+BIT_INSTANCES = ORACLE_INSTANCES + ["restricted"]
+
+
+def bit_instance(name):
+    """``(batch, evaluation system, system the groups come from, deadline)``."""
+    if name != "restricted":
+        return oracle_instance(name)
+    # Applications on different subsets of the types (4-8 processors each).
+    system, batch = random_instance(SEEDED_SPEC, 5)
+    names = system.type_names
+    batch = Batch(
+        replace(
+            app,
+            exec_time=ExecutionTimeModel(
+                {t: app.exec_time.pmf(t) for t in names[i % len(names):]}
+            ),
+        )
+        for i, app in enumerate(batch)
+    )
+    return batch, system, system, 2800.0
+
+
+def one_assignment(batch, system, deadline, app_name, group):
+    """``Pr(T_eff <= deadline)`` of one assignment, computed on its own."""
+    app = batch.app(app_name)
+    times = app.single_proc_pmf(group.ptype.name)
+    levels = system.group(group.ptype.name, group.size).availability
+    c = amdahl_time(1.0, app.serial_frac, group.size)
+    reach = deadline * levels.values / c
+    if reach[0] >= times.values[-1]:
+        return 1.0
+    return float(times.cdf(reach) @ levels.probs)
+
+
+def every_group(batch, system, *, all_sizes):
+    """Each application's groups: every power of two, plus every other
+    size (``all_sizes``) or just 3 and the whole type."""
+    out = []
+    for app in batch:
+        for ptype in system.types:
+            if not app.exec_time.supports(ptype.name):
+                continue
+            sizes = set(range(1, ptype.count + 1)) if all_sizes else {
+                1 << k for k in range(ptype.count.bit_length())
+            } | {min(3, ptype.count), ptype.count}
+            out.extend((app.name, system.group(ptype.name, n)) for n in sorted(sizes))
+    return out
+
+
+@pytest.mark.parametrize("name", BIT_INSTANCES)
+def test_deadline_prob_equals_the_one_assignment_formula(name):
+    batch, system, groups_from, deadline = bit_instance(name)
+    rng = np.random.default_rng(13)
+    groups = every_group(batch, groups_from, all_sizes=name != "24x6")
+    assert any(g.size & (g.size - 1) for _, g in groups)  # non-powers of two
+    # Deadlines on completion-PMF support points and on the unmerged
+    # pulses c t / alpha (where reach = Delta alpha / c meets a time
+    # pulse), beside the instance's own and two where all saturate.
+    deadlines = [deadline, 1e9, float("inf")]
+    for k in rng.choice(len(groups), 4, replace=False):
+        app_name, group = groups[k]
+        app = batch.app(app_name)
+        own = system.group(group.ptype.name, group.size)
+        deadlines.append(float(rng.choice(completion_pmf(app, own).values)))
+        c = amdahl_time(1.0, app.serial_frac, group.size)
+        t = float(rng.choice(app.single_proc_pmf(group.ptype.name).values))
+        deadlines.append(c * t / float(rng.choice(own.availability.values)))
+    for delta in deadlines:
+        evaluator = StageIEvaluator(batch, system, delta)
+        order = rng.permutation(len(groups))
+        for k in order:
+            app_name, group = groups[k]
+            got = evaluator.app_deadline_prob(app_name, group)
+            want = one_assignment(batch, system, delta, app_name, group)
+            assert got.hex() == want.hex(), (name, delta, app_name, group)
+        # One miss per assignment on its first read, hits after.
+        assert evaluator.cache_info()["prob_misses"] == len(groups)
+        for k in order[::-1]:
+            evaluator.app_deadline_prob(*groups[k])
+        assert evaluator.cache_info()["prob_hits"] == len(groups)
+
+
+def test_group_larger_than_the_evaluators_type_raises():
+    # Groups of the original system scored under one with a single
+    # processor per type, as a sensitivity study might ask.
+    batch, system, _, deadline = oracle_instance("seeded-0")
+    small = HeterogeneousSystem(
+        ProcessorType(t.name, 1, availability=t.availability) for t in system.types
+    )
+    evaluator = StageIEvaluator(batch, small, deadline)
+    app_name, ptype = batch.names[0], system.types[0]
+    message = f"^group of 2 exceeds the 1 processors of type '{ptype.name}'$"
+    for _ in range(2):  # nothing is cached by the failed read
+        with pytest.raises(ModelError, match=message):
+            evaluator.app_deadline_prob(app_name, system.group(ptype.name, 2))
+    one = system.group(ptype.name, 1)
+    assert evaluator.app_deadline_prob(app_name, one) == one_assignment(
+        batch, small, deadline, app_name, one
+    )
+    assert evaluator.cache_info()["prob_misses"] == 3
+
+
+@st.composite
+def limits_calls(draw):
+    """A search space's applications, as sets of supported types drawn
+    from a few shared sets, and a sequence of ``(remaining, pending,
+    twins)`` look-ups, their ``remaining`` drawn from a few shared states:
+    ``twins`` are other applications with the same multiset of
+    supported-type sets as ``pending``, in another order."""
+    types = [f"t{j}" for j in range(draw(st.integers(1, 5)))]
+    shared = draw(
+        st.lists(st.frozensets(st.sampled_from(types), min_size=1), min_size=1, max_size=3)
+    )
+    supports = draw(st.lists(st.sampled_from(shared), min_size=1, max_size=10))
+    states = draw(
+        st.lists(
+            st.fixed_dictionaries({t: st.integers(0, 8) for t in types}),
+            min_size=1,
+            max_size=2,
+        )
+    )
+    calls = []
+    for _ in range(draw(st.integers(1, 8))):
+        remaining = draw(st.sampled_from(states))
+        pending = draw(st.lists(st.integers(0, len(supports) - 1), max_size=10))
+        twins = [
+            draw(st.sampled_from([j for j, s in enumerate(supports) if s == supports[i]]))
+            for i in pending
+        ]
+        calls.append((remaining, pending, draw(st.permutations(twins))))
+    return types, supports, calls
+
+
+@settings(max_examples=150, deadline=None)
+@given(limits_calls())
+def test_limits_depend_on_pending_only_through_its_type_sets(case):
+    types, supports, calls = case
+    space = limits_space(types, supports)
+    for remaining, pending, twins in calls:
+        got = space.limits(remaining, [f"a{i}" for i in pending])
+        # The same answer for other applications with the same type sets,
+        # and the same as a space that has answered nothing before.
+        assert space.limits(remaining, [f"a{i}" for i in twins]) == got
+        fresh = limits_space(types, supports)
+        assert fresh.limits(remaining, [f"a{i}" for i in pending]) == got

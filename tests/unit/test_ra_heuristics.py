@@ -18,6 +18,7 @@ from repro.apps import (
     random_instance,
 )
 from repro.errors import InfeasibleAllocationError
+from repro.paper import paper_batch, paper_system
 from repro.pmf import PMF, percent_availability
 from repro.ra import naive as naive_module
 from repro.ra import (
@@ -172,6 +173,29 @@ class TestMetaheuristics:
         # A NaN temperature would reject every worse move.
         with pytest.raises(ValueError, match="initial_temperature"):
             AnnealingAllocator(initial_temperature=float("nan"))
+
+    def test_annealing_infinite_temperature_rejected(self):
+        # An infinite temperature never cools: every feasible move would
+        # be accepted.
+        with pytest.raises(ValueError, match="initial_temperature must be positive and finite"):
+            AnnealingAllocator(initial_temperature=float("inf"))
+
+    @pytest.mark.parametrize("cooling", [0.5, 0.1])
+    def test_annealing_survives_temperature_underflow(self, cooling):
+        # 0.05 * 0.5^k is 0.0 after ~1,070 steps; from there on worse
+        # neighbours are rejected (exp(-inf) = 0) instead of dividing by 0.
+        evaluator = StageIEvaluator(paper_batch(), paper_system(), 3250.0)
+        result = AnnealingAllocator(cooling=cooling, iterations=3000, rng=1).allocate(
+            evaluator
+        )
+        assert result.robustness == evaluator.robustness(result.allocation)
+        assert result.robustness >= GreedyRobustAllocator().allocate(evaluator).robustness
+
+    def test_annealing_survives_temperature_underflow_on_24x6(self, instance_24x6):
+        batch, system = instance_24x6
+        evaluator = StageIEvaluator(batch, system, DEADLINE_24X6)
+        result = AnnealingAllocator(cooling=0.5, iterations=3000, rng=1).allocate(evaluator)
+        assert result.robustness == evaluator.robustness(result.allocation)
 
     def test_genetic_matches_optimal(self, evaluator):
         result = GeneticAllocator(
@@ -480,3 +504,107 @@ def test_pinned_answer(name, instance, evaluator):
     assert (result.robustness, result.evaluations) == (phi1, evaluations)
     if pinned_rows is not None:
         assert rows == pinned_rows
+
+
+#: The deadline the stage-I benchmark (``cdsfbench`` stage1-search)
+#: calibrates to on its 24-app x 6-type instance.
+DEADLINE_24X6 = 2733.769136444695
+
+#: heuristic -> (phi_1 as ``float.hex``, evaluations, probability-cache
+#: hits and misses of a cold evaluator, each application's group in batch
+#: order as "type number:size"). Randomized heuristics run with
+#: ``rng=2012``, as in the benchmark. Unlike the small instances above,
+#: the look-ahead here sees up to 23 pending applications, and genetic
+#: repairs ~2,400 chromosomes per search. Together the five rows are one
+#: stage1-search pass: 16,707 evaluations, 133,927 hits and 3,833 misses.
+PINNED_24X6 = {
+    "greedy-robust": (
+        "0x1.b711b4e9db6aep-21", 927, 159, 792,
+        "4:16 3:4 3:1 2:16 3:1 1:32 5:32 3:1 3:1 3:1 3:1 3:1"
+        " 3:1 6:16 3:1 3:1 3:1 3:1 3:8 3:1 3:1 3:1 3:1 3:4",
+    ),
+    "min-min": (
+        "0x1.813d2a8c3419ap-8", 6821, 6053, 792,
+        "5:1 5:16 4:4 1:8 4:4 5:2 5:8 6:8 3:4 6:4 3:2 3:2"
+        " 2:16 1:4 5:4 4:8 3:16 3:4 5:1 6:2 1:4 3:4 1:16 6:2",
+    ),
+    "sufferage": (
+        "0x1.362ac21aca05dp-16", 2773, 2005, 792,
+        "4:16 3:1 3:4 2:16 3:1 1:32 5:32 3:1 3:1 3:1 3:1 3:1"
+        " 3:8 6:16 3:1 3:1 3:1 3:1 3:4 3:1 3:1 3:1 3:1 3:1",
+    ),
+    "simulated-annealing": (
+        "0x1.5de3c1a600dc7p-2", 3746, 67815, 792,
+        "5:4 3:4 6:8 2:4 6:4 1:16 4:4 1:8 4:2 4:2 3:2 5:8"
+        " 4:4 2:8 5:4 2:2 2:2 3:2 3:8 6:4 4:4 5:16 1:8 3:16",
+    ),
+    "genetic": (
+        "0x1.14ebe50e1ba2ap-2", 2440, 57895, 665,
+        "5:4 3:4 4:2 1:4 4:2 5:8 4:2 3:4 3:2 5:8 1:4 3:2"
+        " 6:8 2:4 3:8 4:4 1:8 1:8 4:4 2:4 5:4 3:4 1:8 3:8",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def instance_24x6():
+    spec = WorkloadSpec(
+        n_apps=24, n_types=6, procs_per_type=(16, 32), cv=0.5, availability_levels=4
+    )
+    system, batch = random_instance(spec, np.random.default_rng(2012))
+    return batch, system
+
+
+def type_sizes(allocation, names):
+    """Each application's group in ``names`` order, as "type number:size"."""
+    return " ".join(
+        f"{g.ptype.name.removeprefix('type')}:{g.size}" for g in map(allocation.group, names)
+    )
+
+
+def search_24x6(name):
+    """The search ``name`` as the benchmark runs it."""
+    cls = HEURISTICS[name]
+    seeded = "rng" in inspect.signature(cls).parameters
+    return cls(rng=2012) if seeded else cls()
+
+
+@pytest.mark.parametrize("name", list(PINNED_24X6))
+def test_pinned_answer_on_the_24x6_instance(name, instance_24x6):
+    batch, system = instance_24x6
+    evaluator = StageIEvaluator(batch, system, DEADLINE_24X6)
+    result = search_24x6(name).allocate(evaluator)
+    info = evaluator.cache_info()
+    assert (
+        result.robustness.hex(),
+        result.evaluations,
+        info["prob_hits"],
+        info["prob_misses"],
+        type_sizes(result.allocation, batch.names),
+    ) == PINNED_24X6[name]
+    # No completion PMF is built until the benchmark asks for the
+    # answer's makespan PMF.
+    assert info["pmf_hits"] == info["pmf_misses"] == 0
+    evaluator.makespan_pmf(result.allocation)
+    assert evaluator.cache_info()["pmf_misses"] == 24
+
+
+@pytest.mark.parametrize(
+    "seed, n_apps, phi1, groups",
+    [
+        (1, 6, "0x1.c27993c173383p-6", "1:1 2:1 1:1 2:1 2:2 3:2"),
+        (3, 8, "0x1.364db073daf92p-10", "3:1 3:2 1:1 1:1 1:1 2:2 3:1 1:1"),
+        (6, 8, "0x1.9403c1855b802p-9", "2:1 3:1 3:2 1:1 2:2 3:1 2:1 1:1"),
+    ],
+)
+def test_genetic_pinned_where_repair_moves_between_types(seed, n_apps, phi1, groups):
+    # 2-5 processors per type for 6-8 applications: random chromosomes
+    # oversubscribe several types at once, and repair must move
+    # single-processor applications between them, so which type it
+    # repairs first (that of the first application on an oversubscribed
+    # type, not the first such type in system order) changes the answer.
+    spec = WorkloadSpec(n_apps=n_apps, n_types=3, procs_per_type=(2, 5), cv=0.3)
+    system, batch = random_instance(spec, seed)
+    result = GeneticAllocator(rng=7).allocate(StageIEvaluator(batch, system, 2800.0))
+    assert result.robustness.hex() == phi1
+    assert type_sizes(result.allocation, batch.names) == groups
